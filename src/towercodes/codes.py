@@ -10,11 +10,21 @@ and the code is C_D = {(Tr_{q^k/q}(b d))_{d in D} : b in F_{q^k}}.  Elements
 of D are kept as alpha-exponents in increasing order, which fixes the
 coordinate permutation and makes codeword-level results reproducible.
 
-Enumeration walks all q^k values of b with a vectorized kernel: the weight
-of c_b for b = alpha^s is |D| minus the number of d in D with
-Tr(alpha^(s+d)) = 0, a sum of table lookups.  The histogram over b is then
-deduplicated by the kernel of b -> c_b, so repeated codewords (when the
-map is not injective) are counted once.
+Enumeration covers all q^k values of b: the weight of c_b for b = alpha^s
+is |D| minus Z_s, the number of d in D with Tr(alpha^(s+d)) = 0.  D is a
+union of cosets of the kernel of the norm onto F_{q^f}, so with
+M = q^k - 1 and Mf = q^f - 1 the count Z_s depends only on s mod Mf:
+
+    Z_s = sum_{h in D mod Mf} N0[(s + h) mod Mf],
+    N0[t] = |{u = t mod Mf : Tr(alpha^u) = 0}|.
+
+One pass over the trace-zero table gives N0, a vectorized gather over the
+Mf residues gives Z, and tiling gives all M counts: O(M + Mf |D mod Mf|)
+work instead of O(M |D|).  A punctured set is expanded back to its F_q^*
+orbits first; the trace is F_q-linear, so the counts divide exactly by
+q - 1.  The histogram over b is then deduplicated by the kernel of
+b -> c_b, so repeated codewords (when the map is not injective) are
+counted once, and its first moment is checked against the Pless identity.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +35,7 @@ import numpy as np
 
 from .field import Element, Field, TowerSpec
 
-_CHUNK_CELLS = 1 << 22  # bound on rows*|D| per vectorized block
+_CHUNK_CELLS = 1 << 20  # bound on rows*|H| per vectorized block
 
 
 @dataclass(frozen=True)
@@ -156,31 +166,46 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
     """For each s in [0, q^k - 1): the number of d in D with
     Tr_{q^k/q}(alpha^(s+d)) = 0.  The weight of c_(alpha^s) is |D| minus
     this count; the same array drives the exponential-sum checks.
+
+    Raises ValueError when D (after undoing the puncturing) is not a union
+    of cosets of the norm kernel, the shape every built defining set has.
     """
     tower = ds.tower
     field = tower.field()
     M = field.mult_order
-    z = field.trace_zero_indicator(tower.e).astype(np.int64)
+    Mf = tower.q ** tower.f - 1
     D = np.array(ds.elements, dtype=np.int64)
-    rows = max(1, _CHUNK_CELLS // max(1, D.size))
+    if ds.punctured:
+        step = field.subfield_exp(tower.e)  # alpha**step generates F_q^*
+        D = (D[:, None] + step * np.arange(tower.q - 1)).ravel()
+    full = np.unique(D % M)
+    H = np.unique(full % Mf)
+    if full.size != D.size or H.size * (M // Mf) != full.size:
+        raise ValueError(f"{ds!r} is not a union of norm-kernel cosets")
+    N0 = field.trace_zero_indicator(tower.e).reshape(-1, Mf).sum(
+        axis=0, dtype=np.int64)
+    rows = max(1, _CHUNK_CELLS // max(1, H.size))
 
     def run(lo: int, hi: int) -> np.ndarray:
         out = np.empty(hi - lo, dtype=np.int64)
         for start in range(lo, hi, rows):
             stop = min(start + rows, hi)
             s = np.arange(start, stop, dtype=np.int64)
-            idx = (s[:, None] + D[None, :]) % M
-            out[start - lo:stop - lo] = z[idx].sum(axis=1)
+            idx = (s[:, None] + H[None, :]) % Mf
+            out[start - lo:stop - lo] = N0[idx].sum(axis=1)
         return out
 
-    if workers <= 1 or M < 4096:
-        return run(0, M)
-    bounds = np.linspace(0, M, workers + 1, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda i: run(int(bounds[i]),
-                                            int(bounds[i + 1])),
-                              range(workers)))
-    return np.concatenate(parts)
+    if workers <= 1 or Mf < 4096:
+        counts = run(0, Mf)
+    else:
+        bounds = np.linspace(0, Mf, workers + 1, dtype=np.int64)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = np.concatenate(list(pool.map(
+                lambda i: run(int(bounds[i]), int(bounds[i + 1])),
+                range(workers))))
+    if ds.punctured:
+        counts //= tower.q - 1
+    return np.tile(counts, M // Mf)
 
 
 def brute_weight_distribution(ds: DefiningSet, workers: int = 1,
@@ -220,4 +245,9 @@ def brute_weight_distribution(ds: DefiningSet, workers: int = 1,
             if c % kernel:
                 raise RuntimeError("codeword multiplicity mismatch")
             counts[w] = c // kernel
-    return WeightDistribution(n, tower.k - dim_drop, counts, q)
+    dim = tower.k - dim_drop
+    # first Pless moment, times q: no coordinate of a trace code is all zero
+    if q * sum(w * c for w, c in counts.items()) != n * (q - 1) * q ** dim:
+        raise RuntimeError("first Pless moment fails: sum w*A_w != "
+                           "n(q-1)q^(dim-1)")
+    return WeightDistribution(n, dim, counts, q)

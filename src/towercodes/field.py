@@ -117,6 +117,7 @@ class Field:
         self.modulus = self._find_modulus()
         self._build_tables()
         self._abs_trace = None
+        self._zero_indicator = {}
 
     # -- construction -------------------------------------------------
 
@@ -381,10 +382,17 @@ class Field:
         return out
 
     def trace_zero_indicator(self, to_deg: int) -> np.ndarray:
-        """uint8 array over exponents u in [0, p^m - 1): 1 where the trace
-        of alpha^u down to F_{p^to_deg} vanishes."""
-        tab = self.trace_exp_subtable(self.m, to_deg)
-        return np.array([1 if e is None else 0 for e in tab], dtype=np.uint8)
+        """Read-only uint8 array over exponents u in [0, p^m - 1): 1 where
+        the trace of alpha^u down to F_{p^to_deg} vanishes.  Cached per
+        degree."""
+        ind = self._zero_indicator.get(to_deg)
+        if ind is None:
+            tab = self.trace_exp_subtable(self.m, to_deg)
+            ind = np.array([1 if e is None else 0 for e in tab],
+                           dtype=np.uint8)
+            ind.flags.writeable = False
+            self._zero_indicator[to_deg] = ind
+        return ind
 
     def abs_trace_residues(self) -> np.ndarray:
         """int64 array over exponents u: Tr_{p^m/p}(alpha^u) as a residue."""

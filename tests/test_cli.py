@@ -136,6 +136,23 @@ def test_parameter_errors_exit_2(capsys):
     assert code == 2 and "a = 0" in err
 
 
+def test_failed_consistency_check_exits_1(capsys, monkeypatch):
+    from towercodes import codes
+    honest = codes.zero_trace_counts
+
+    def corrupt(ds, workers=1):
+        zeros = honest(ds, workers)
+        zeros[0] += 1
+        return zeros
+
+    monkeypatch.setattr(codes, "zero_trace_counts", corrupt)
+    code, out, err = run(capsys, "code", "--p", "2", "--e", "1", "--f", "2",
+                         "--k", "4", "--a", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: first Pless moment fails")
+    assert "Traceback" not in err
+
+
 def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

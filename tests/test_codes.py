@@ -13,6 +13,7 @@ from towercodes.codes import (
     zero_trace_counts,
 )
 from towercodes.field import TowerSpec
+from towercodes.verify import _a_samples, grid_towers
 
 
 # (p, e, f, k, a_index) -> n, dim, {weight: count} without the zero word
@@ -142,11 +143,55 @@ def test_punctured_distribution_golden():
 
 
 def test_workers_do_not_change_counts():
-    # field big enough (M >= 4096) that the threaded path actually splits
-    ds = build_defining_set(TowerSpec(3, 1, 2, 8), 1)
+    # reduced modulus q^f - 1 >= 4096, so the threaded path actually splits
+    tower = TowerSpec(3, 1, 8, 8)
+    assert tower.q ** tower.f - 1 >= 4096
+    ds = build_defining_set(tower, 1)
     base = zero_trace_counts(ds, workers=1)
     assert np.array_equal(base, zero_trace_counts(ds, workers=4))
     assert np.array_equal(base, zero_trace_counts(ds, workers=3))
+
+
+def _literal_zero_counts(ds):
+    # Z[s] = sum over d in D of z[(s + d) mod M], one rotation per d
+    z = ds.tower.field().trace_zero_indicator(ds.tower.e).astype(np.int64)
+    return sum((np.roll(z, -d) for d in ds.elements), np.zeros_like(z))
+
+
+@pytest.mark.parametrize("tower", grid_towers(1 << 13),
+                         ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_zero_counts_match_literal_sum(tower):
+    sets = [build_defining_set(tower, a) for a in _a_samples(tower.q)]
+    if tower.f > 1:
+        full = build_defining_set(tower, 0)
+        sets += [full, puncture(full)]
+    for ds in sets:
+        assert np.array_equal(zero_trace_counts(ds),
+                              _literal_zero_counts(ds)), ds
+
+
+def test_non_coset_defining_set_raises():
+    ds = build_defining_set(TowerSpec(2, 1, 2, 4), 1)
+    for elements in (ds.elements[1:], ds.elements[:1] * 2 + ds.elements[1:]):
+        bad = DefiningSet(ds.tower, ds.a_index, ds.a, elements)
+        with pytest.raises(ValueError, match="norm-kernel cosets"):
+            zero_trace_counts(bad)
+    # a punctured set whose reps share an F_q^* orbit
+    full = build_defining_set(TowerSpec(2, 2, 2, 4), 0)
+    step = full.tower.field().subfield_exp(full.tower.e)
+    reps = puncture(full).elements
+    bad = DefiningSet(full.tower, 0, full.a, (reps[0], reps[0] + step)
+                      + reps[2:], punctured=True)
+    with pytest.raises(ValueError, match="norm-kernel cosets"):
+        zero_trace_counts(bad)
+
+
+def test_pless_moment_guard():
+    ds = build_defining_set(TowerSpec(2, 1, 2, 4), 1)
+    zeros = zero_trace_counts(ds)
+    zeros[0] += 1  # one codeword loses a nonzero coordinate
+    with pytest.raises(RuntimeError, match="Pless"):
+        brute_weight_distribution(ds, zeros=zeros)
 
 
 def test_budget_guard():

@@ -218,6 +218,8 @@ def test_trace_zero_indicator_kernel_size():
         assert ind.shape == (80,)
         # nonzero kernel elements: 3^(4-d) - 1
         assert int(ind.sum()) == 3 ** (4 - d) - 1
+        # built once per degree and shared read-only
+        assert F.trace_zero_indicator(d) is ind and not ind.flags.writeable
 
 
 def test_abs_trace_residues_matches_direct():
