@@ -236,6 +236,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(
+                f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

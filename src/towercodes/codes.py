@@ -27,6 +27,7 @@ b -> c_b, so repeated codewords (when the map is not injective) are
 counted once, and its first moment is checked against the Pless identity.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -195,6 +196,7 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
             out[start - lo:stop - lo] = N0[idx].sum(axis=1)
         return out
 
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or Mf < 4096:
         counts = run(0, Mf)
     else:

@@ -12,6 +12,14 @@ Multiplication is cyclic convolution.  Large vectors go through Kronecker
 substitution (pack into one big integer, multiply, unpack) so products of
 dense histograms stay cheap; a schoolbook path covers small or oversized
 cases exactly.
+
+A Gauss sum G(psi_j) over a subfield F_{p^deg} is one histogram: over
+g^i, i < p^deg - 1, the pair (Tr(g^i), j*i) fixes the exponent of
+zeta_{p*o}, so a single bincount gives every coefficient in O(p^deg)
+vectorized work.  The subfield trace comes from the absolute trace table
+of the whole field: for lambda with Tr_{p^m/p^deg}(lambda) = 1,
+Tr_{p^m/p}(lambda x) = Tr_{p^deg/p}(x) on F_{p^deg}, also when p divides
+m/deg (lambda = 1 when deg = m).
 """
 
 from __future__ import annotations
@@ -287,14 +295,14 @@ class CycloInt:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are not defined here")
-        out = CycloInt.integer(self.n, 1)
+        out = None  # the identity, kept out of the products
         base = self
         while e:
             if e & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if e > 1 else base
             e >>= 1
-        return out
+        return CycloInt.integer(self.n, 1) if out is None else out
 
     def conj(self) -> "CycloInt":
         n = self.n
@@ -407,37 +415,34 @@ class AddChar:
 # ---------------------------------------------------------------------------
 
 
-def _char_ring(p: int, o: int) -> int:
-    return p * o  # gcd(p, o) = 1 since o | p^deg - 1
+@lru_cache(maxsize=256)
+def _unit_trace_exp(field: Field, deg: int) -> int:
+    """Exponent u of some lambda = alpha^u with Tr_{p^m/p^deg}(lambda) = 1.
+
+    Then Tr_{p^m/p}(lambda x) = Tr_{p^deg/p}(x) for every x in F_{p^deg},
+    so the absolute trace table of the whole field serves every subfield.
+    The search stops at u = 0 (lambda = 1) when deg = m.
+    """
+    return next(u for u in range(field.mult_order)
+                if field.trace(u, field.m, deg) == field.one)
 
 
 def gauss_sum(field: Field, j: int, deg: Optional[int] = None) -> CycloInt:
     """G(psi_j, chi) over F_{p^deg} with chi canonical, by direct summation.
 
-    Returned in Z[zeta_{p*o}] where o is the order of psi_j.
+    One histogram over g^i, i < p^deg - 1, of the exponent pair
+    (Tr(g^i), j*i) in Z[zeta_{p*o}], where o is the order of psi_j.
     """
     p = field.p
-    deg = field.m if deg is None else deg
     psi = MultChar(field, j, deg)
-    o = psi.order
-    n = _char_ring(p, o)
-    if deg == field.m and field.mult_order > 1:
-        # vectorized: exponents of both characters over all alpha^u
-        M = field.mult_order
-        tr = field.abs_trace_residues().astype(np.int64)
-        u = np.arange(M, dtype=np.int64)
-        me = (psi.j * u) % psi.group_order // (psi.group_order // o)
-        e = (tr * o + me * p) % n
-        hist = np.bincount(e, minlength=n)
-        return CycloInt(n, hist.tolist())
-    chi = AddChar(field, deg, scale=field.one)
-    coeffs = [0] * n
-    step = psi.step
-    for i in range(psi.group_order):
-        x = i * step
-        e = (chi.exponent(x) * o + psi.exponent(x) * p) % n
-        coeffs[e] += 1
-    return CycloInt(n, coeffs)
+    o, order = psi.order, psi.group_order
+    n = p * o  # gcd(p, o) = 1 since o | p^deg - 1
+    i = np.arange(order, dtype=np.int64)
+    x = (_unit_trace_exp(field, psi.deg) + i * psi.step) % field.mult_order
+    tr = field.abs_trace_residues()[x]
+    me = psi.j * i % order // (order // o)
+    return CycloInt(n, np.bincount((tr * o + me * p) % n,
+                                   minlength=n).tolist())
 
 
 def gauss_sum_semiprimitive(p: int, N: int, gamma: int, s: int = 1) -> int:

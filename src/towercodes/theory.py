@@ -17,6 +17,13 @@ formulas and both exponential sums are affine in it:
 with sgn = (-1)^(k/f - 1).  Gauss sums are evaluated exactly (cyclotomic
 integers), so these hold for every f, not only the semi-primitive cases.
 
+coset_sums forms each P_j = phi^j(-1) G(phi^j)^(k/f-1) once, lifts it
+into Z[x]/(x^n - 1) with n = pN, and stacks the N - 1 rows in one integer
+matrix.  Since zeta_N^(-jc) = zeta_n^(-jcp), multiplying by it rotates a
+row, so T_c is a gather-and-sum of rotated rows followed by one canonical
+reduction: O(N^2 pN) integer work plus N reductions, and no ring products
+beyond the powers of the Gauss sums.
+
 Direct-summation oracles are kept alongside: literal triple sums over
 (x, y, z) for small fields, and a grouped exact rearrangement through the
 zero-trace counts that scales to the full test grid.
@@ -58,19 +65,27 @@ def coset_sums(tower: TowerSpec) -> Tuple[int, ...]:
         # the Gauss factor is an empty product and every character value
         # at -1 is 1, leaving plain root-of-unity sums
         return tuple(N - 1 if c == 0 else -1 for c in range(N))
-    minus_one = field.neg(field.one)
-    out = []
-    powers = []
+    # row j-1 holds P_j = psi_j(-1) G(psi_j)^(k/f-1), psi_j = phi^j, lifted
+    # from Z[zeta_{p o_j}] into Z[x]/(x^n - 1) with n = pN
+    p = field.p
+    n = p * N
+    rows = []
     for j in range(1, N):
-        psi = MultChar(field, j * (q - 1), deg=ef)
-        g = gauss_sum(field, j * (q - 1), deg=ef)
-        powers.append(g ** (kf - 1) * psi.value(minus_one))
+        sign = MultChar(field, j * (q - 1), deg=ef).value_at_minus_one()
+        g = gauss_sum(field, j * (q - 1), deg=ef) ** (kf - 1)
+        row = [0] * n
+        row[::n // g.n] = [sign * c for c in g.coeffs]
+        rows.append(row)
+    bound = sum(abs(c) for row in rows for c in row)
+    P = np.array(rows, dtype=np.int64 if bound < 1 << 62 else object)
+    # zeta_N^(-jc) = zeta_n^(-jcp) rotates row j: T_c gathers entry
+    # (i + jcp) mod n of every row j and reduces the column sums
+    j = np.arange(1, N, dtype=np.int64)[:, None]
+    i = np.arange(n, dtype=np.int64)[None, :]
+    out = []
     for c in range(N):
-        acc: Optional[CycloInt] = None
-        for j in range(1, N):
-            term = powers[j - 1] * CycloInt.root(N, (-j * c) % N)
-            acc = term if acc is None else acc + term
-        out.append(acc.as_int())
+        acc = P[j - 1, (i + j * c * p) % n].sum(axis=0)
+        out.append(CycloInt(n, acc.tolist()).as_int())
     return tuple(out)
 
 
@@ -155,40 +170,37 @@ def code_length(tower: TowerSpec, a_index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def omega_direct(field: Field, tower: TowerSpec, b: Element) -> CycloInt:
-    """Literal sum over x in F_{q^k} and y in F_q^* of
-    chi_1(y x^((q^k-1)/(q^f-1))) chi_2(b x), in Z[zeta_p]."""
-    p = field.p
-    q = tower.q
-    M = field.mult_order
-    ef = tower.e * tower.f
-    tr_top = field.abs_trace_residues().astype(np.int64)
-    # chi_1 over F_{q^f}, tabulated against the subfield generator g:
-    # x = alpha^u gives x^L = g^u, and y = alpha^(i ystep) is g^(iN)
-    sub = field.trace_exp_subtable(ef, 1)
-    sub_res = np.array([0 if t is None else field.residue(t) for t in sub],
-                       dtype=np.int64)
-    qf1 = q ** tower.f - 1
-    N = qf1 // (q - 1)
-    coeffs = np.zeros(p, dtype=np.int64)
-    coeffs[0] += q - 1  # x = 0 term
-    u = np.arange(M, dtype=np.int64)
-    chi2 = tr_top[(b + u) % M]
-    for i in range(q - 1):
-        chi1 = sub_res[(i * N + u) % qf1]
-        coeffs += np.bincount((chi1 + chi2) % p, minlength=p)
-    return CycloInt(p, coeffs.tolist())
+def _chi1_residues(field: Field, ef: int) -> np.ndarray:
+    """Tr_{p^ef/p}(g^i) as residues, g generating F_{p^ef}^*, from the
+    element-wise subfield trace table (independent of gauss_sum)."""
+    return np.array([0 if t is None else field.residue(t)
+                     for t in field.trace_exp_subtable(ef, 1)],
+                    dtype=np.int64)
 
 
 def delta_direct(field: Field, tower: TowerSpec, b: Element) -> int:
-    """Delta(b) by literal triple summation (oracle for the closed form)."""
+    """Delta(b) by literal triple summation (oracle for the closed form):
+    the sum over z, y in F_q^* and x in F_{q^k} of
+    chi_1(y x^((q^k-1)/(q^f-1))) chi_2(z b x), in Z[zeta_p]."""
+    p = field.p
+    q = tower.q
     M = field.mult_order
-    step = field.subfield_exp(tower.e)
-    total: Optional[CycloInt] = None
-    for i in range(tower.q - 1):
-        term = omega_direct(field, tower, (b + i * step) % M)
-        total = term if total is None else total + term
-    return total.as_int()
+    tr_top = field.abs_trace_residues()
+    # chi_1 over F_{q^f}, tabulated against the subfield generator g:
+    # x = alpha^u gives x^L = g^u, and y = alpha^(i ystep) is g^(iN)
+    sub_res = _chi1_residues(field, tower.e * tower.f)
+    qf1 = q ** tower.f - 1
+    N = qf1 // (q - 1)
+    ystep = field.subfield_exp(tower.e)
+    coeffs = np.zeros(p, dtype=np.int64)
+    coeffs[0] += (q - 1) ** 2  # x = 0 terms
+    u = np.arange(M, dtype=np.int64)
+    for z in range(q - 1):
+        chi2 = tr_top[(b + z * ystep + u) % M]
+        for i in range(q - 1):
+            chi1 = sub_res[(i * N + u) % qf1]
+            coeffs += np.bincount((chi1 + chi2) % p, minlength=p)
+    return CycloInt(p, coeffs.tolist()).as_int()
 
 
 def lambda_direct(field: Field, tower: TowerSpec, b: Element,
@@ -199,13 +211,9 @@ def lambda_direct(field: Field, tower: TowerSpec, b: Element,
     p = field.p
     q = tower.q
     M = field.mult_order
-    L = tower.norm_exp
-    ef = tower.e * tower.f
     a = field.subfield_element_from_index(a_index, tower.e)
-    tr_top = field.abs_trace_residues().astype(np.int64)
-    sub = field.trace_exp_subtable(ef, 1)
-    sub_res = np.array([0 if t is None else field.residue(t) for t in sub],
-                       dtype=np.int64)
+    tr_top = field.abs_trace_residues()
+    sub_res = _chi1_residues(field, tower.e * tower.f)
     qf1 = q ** tower.f - 1
     N = qf1 // (q - 1)
     ystep = field.subfield_exp(tower.e)

@@ -370,9 +370,15 @@ def _grid_zero_shift(tower: TowerSpec, workers: int, tallies, literal: bool):
     pbrute = brute_weight_distribution(pds, workers=workers, zeros=pzeros)
     shrunk = {0: 1}
     shrunk.update({w // (q - 1): c for w, c in brute.counts.items() if w})
-    tallies["scaling"].record(
-        pbrute == WeightDistribution(len(pds), brute.dim, shrunk, q),
-        label + " punctured")
+    # the kernel derives punctured counts from full orbits; recount a few
+    # directly over the punctured elements, with no orbit expansion
+    z = tower.field().trace_zero_indicator(tower.e)
+    M = z.size
+    Dp = np.array(pds.elements, dtype=np.int64)
+    recount = all(int(pzeros[s]) == int(z[(s + Dp) % M].sum())
+                  for s in {0, 1, M // 3, M - 1})
+    same = pbrute == WeightDistribution(len(pds), brute.dim, shrunk, q)
+    tallies["scaling"].record(same and recount, label + " punctured")
 
     report = theory.TheoryReport(tower, 0)
     if not (k > f > 1):

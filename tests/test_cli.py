@@ -136,6 +136,18 @@ def test_parameter_errors_exit_2(capsys):
     assert code == 2 and "a = 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("code", "--p", "2", "--e", "1", "--f", "2", "--k", "4"),
+    ("verify", "--suite", "examples"),
+    ("search", "--budget", "16"),
+])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(capsys, argv, workers):
+    code, out, err = run(capsys, *argv, "--workers", workers)
+    assert code == 2 and out == ""
+    assert err == f"error: --workers must be at least 1, got {workers}\n"
+
+
 def test_failed_consistency_check_exits_1(capsys, monkeypatch):
     from towercodes import codes
     honest = codes.zero_trace_counts

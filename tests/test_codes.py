@@ -1,5 +1,7 @@
 """Defining sets, codeword maps, exhaustive weight distributions."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,36 @@ def test_workers_do_not_change_counts():
     assert np.array_equal(base, zero_trace_counts(ds, workers=3))
 
 
+def test_workers_clamped_to_cpu_count(monkeypatch):
+    # a fake pool records its size and runs the parts inline, so no thread
+    # starts; the request stays small so that an unclamped run is harmless
+    from towercodes import codes
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(codes.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(codes, "ThreadPoolExecutor", InlinePool)
+    ds = build_defining_set(TowerSpec(3, 1, 8, 8), 1)
+    counts = zero_trace_counts(ds, workers=64)
+    assert sizes == [3]
+    assert np.array_equal(counts, zero_trace_counts(ds, workers=1))
+    monkeypatch.setattr(codes.os, "cpu_count", lambda: None)
+    assert np.array_equal(counts, zero_trace_counts(ds, workers=64))
+    assert sizes == [3]
+
+
 def _literal_zero_counts(ds):
     # Z[s] = sum over d in D of z[(s + d) mod M], one rotation per d
     z = ds.tower.field().trace_zero_indicator(ds.tower.e).astype(np.int64)
@@ -168,6 +200,27 @@ def test_zero_counts_match_literal_sum(tower):
     for ds in sets:
         assert np.array_equal(zero_trace_counts(ds),
                               _literal_zero_counts(ds)), ds
+
+
+def test_grid_punctured_recount_catches_rotated_counts(monkeypatch):
+    # rotated punctured counts keep their distribution, so only the grid's
+    # literal recount over the punctured elements can see the fault
+    from towercodes import verify
+    honest = verify.zero_trace_counts
+
+    def rotated(ds, workers=1):
+        zeros = honest(ds, workers)
+        return np.roll(zeros, 1) if ds.punctured else zeros
+
+    tower = TowerSpec(3, 1, 2, 4)
+    label = "q=3 f=2 k=4 a=0 punctured"
+    for counts, fails in ((honest, []), (rotated, [label])):
+        monkeypatch.setattr(verify, "zero_trace_counts", counts)
+        tallies = defaultdict(lambda: verify._Tally(""))
+        verify._grid_zero_shift(tower, 1, tallies, literal=False)
+        assert tallies["scaling"].cases == 2
+        assert tallies["scaling"].failures == fails
+        assert not tallies["closed vs brute"].failures
 
 
 def test_non_coset_defining_set_raises():

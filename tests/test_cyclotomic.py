@@ -234,6 +234,44 @@ def test_subfield_gauss_matches_own_table():
     assert emb == own
 
 
+def _loop_gauss_coeffs(field, j, deg):
+    # per-element summation over the subfield generator g = alpha^step,
+    # with the additive character's own relative trace
+    psi = MultChar(field, j, deg)
+    chi = AddChar(field, deg, scale=field.one)
+    o, p = psi.order, field.p
+    n = p * o
+    coeffs = [0] * n
+    for i in range(psi.group_order):
+        x = i * psi.step
+        coeffs[(chi.exponent(x) * o + psi.exponent(x) * p) % n] += 1
+    return coeffs
+
+
+def _gauss_cases():
+    # every proper subfield up to 2^12, whole fields up to 2^8; this holds
+    # the p | m/deg cases (2,8,4), (2,12,6) and (3,9,3), where no scalar
+    # of F_p has relative trace 1, and F_2, whose unit group is trivial
+    fields = [(p, m) for p in (2, 3, 5, 7) for m in range(1, 13)
+              if p ** m <= 1 << 12]
+    fields += [(3, 9)]
+    for p, m in fields:
+        for deg in range(1, m + 1):
+            if m % deg == 0 and (deg < m or p ** m <= 1 << 8):
+                yield p, m, deg
+
+
+@pytest.mark.parametrize("p,m,deg", list(_gauss_cases()),
+                         ids=lambda v: str(v))
+def test_gauss_sum_matches_element_loop(p, m, deg):
+    field = get_field(p, m)
+    order = p ** deg - 1
+    js = {0, 1, 2, order // 2, order - 1, 5 * order // 7} & set(range(order))
+    for j in sorted(js):
+        g = gauss_sum(field, j, deg)
+        assert list(g.coeffs) == _loop_gauss_coeffs(field, j, deg), (j, g)
+
+
 def test_semiprimitive_closed_form():
     # F_4, order-3 character: j = 1, gamma = 1
     assert gauss_sum_semiprimitive(2, 3, 1) == gauss_sum(get_field(2, 2), 1).as_int()

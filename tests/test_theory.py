@@ -38,6 +38,7 @@ from towercodes.theory import (
     weight_nonzero_shift,
     weight_zero_shift,
 )
+from towercodes.verify import grid_towers
 
 
 # -- exponential sums: three routes, one answer -------------------------------
@@ -124,24 +125,39 @@ def test_lambda_value_pairs_f2():
         lambda_value_pairs_f2(TowerSpec(2, 1, 3, 6))
 
 
+def _literal_coset_sums(tower):
+    # N^2 ring products: T_c = sum_j psi_j(-1) G(psi_j)^(k/f-1) zeta_N^(-jc)
+    field = tower.field()
+    q, f, kf = tower.q, tower.f, tower.k // tower.f
+    ef = tower.e * tower.f
+    N = (q ** f - 1) // (q - 1)
+    minus_one = field.neg(field.one)
+    powers = []
+    for j in range(1, N):
+        psi = MultChar(field, j * (q - 1), deg=ef)
+        g = gauss_sum(field, j * (q - 1), deg=ef)
+        powers.append(g ** (kf - 1) * psi.value(minus_one))
+    want = []
+    for c in range(N):
+        acc = CycloInt.integer(N * field.p, 0)
+        for j in range(1, N):
+            acc = acc + powers[j - 1] * CycloInt.root(N, (-j * c) % N)
+        want.append(acc.as_int())
+    return want
+
+
 def test_coset_sums_shortcut_matches_generic_loop():
     # k = f evaluates T_c without Gauss sums; redo it the long way
     tower = TowerSpec(3, 1, 2, 2)
-    field = tower.field()
-    q, f = tower.q, tower.f
-    N = (q ** f - 1) // (q - 1)
-    minus_one = field.neg(field.one)
-    want = []
-    for c in range(N):
-        acc = CycloInt.integer(N, 0)
-        for j in range(1, N):
-            psi = MultChar(field, j * (q - 1))
-            g = gauss_sum(field, j * (q - 1))
-            acc = acc + (g ** 0 * psi.value(minus_one)).lift(
-                N * field.p) * CycloInt.root(N, (-j * c) % N)
-        want.append(acc.as_int())
-    assert list(coset_sums(tower)) == want
+    assert list(coset_sums(tower)) == _literal_coset_sums(tower)
     assert coset_sums(TowerSpec(2, 1, 1, 3)) == (0,)
+
+
+@pytest.mark.parametrize(
+    "tower", [t for t in grid_towers(1 << 12) if t.k > t.f > 1],
+    ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_coset_sums_match_literal_products(tower):
+    assert list(coset_sums(tower)) == _literal_coset_sums(tower)
 
 
 # -- per-codeword weights ------------------------------------------------------
