@@ -20,7 +20,7 @@ from .codes import brute_weight_distribution, build_defining_set, puncture
 from .cyclotomic import gauss_sum, MultChar
 from .field import TowerSpec, get_field
 from .theory import TheoryReport
-from .verify import run_suite
+from .verify import grid_towers, run_suite
 
 _CSV_HEADER = ("p,e,f,k,a,n,dim,dmin,weights,freqs,"
                "griesmer_met,singleton_slack,ss_ok,theory_match")
@@ -155,21 +155,9 @@ def _cmd_verify(args) -> int:
 
 def _search_rows(budget: int, workers: int) -> List[str]:
     rows = []
-    specs = []
-    for p in (2, 3, 5):
-        e = 1
-        while p ** e <= budget:
-            q = p ** e
-            k = 1
-            while q ** k <= budget:
-                for f in range(1, k + 1):
-                    if k % f == 0:
-                        specs.append((p, e, f, k))
-                k += 1
-            e += 1
-    for p, e, f, k in sorted(specs):
-        tower = TowerSpec(p, e, f, k)
-        shifts = [1] if f == 1 else [0, 1]
+    for tower in sorted(grid_towers(budget),
+                        key=lambda t: (t.p, t.e, t.f, t.k)):
+        shifts = [1] if tower.f == 1 else [0, 1]
         for a_index in shifts:
             ds, brute, report = _code_facts(tower, a_index, False, workers)
             rows.append(_code_csv_row(tower, a_index, brute, report))
@@ -190,6 +178,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     q_help = "base subfield is F_{p^e}; the code field is F_{p^(e*k)}"
+    workers_help = ("threads for the enumeration kernel, at most one per "
+                    "CPU; they split only the q^f - 1 residues, so they "
+                    "start only when q^f - 1 >= 4096")
 
     fp = sub.add_parser("field", help="field table facts")
     fp.add_argument("--p", type=int, required=True, help="characteristic")
@@ -207,7 +198,8 @@ def _parser() -> argparse.ArgumentParser:
                     help="shift index in [0, q); 0 selects the kernel code")
     cp.add_argument("--punctured", action="store_true",
                     help="quotient out the F_q^* scaling (a = 0 only)")
-    cp.add_argument("--workers", type=int, default=1)
+    cp.add_argument("--workers", type=int, default=1,
+                    help=workers_help)
     cp.add_argument("--format", choices=("json", "csv"), default="json")
     cp.set_defaults(func=_cmd_code)
 
@@ -222,13 +214,15 @@ def _parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="run a self-check suite")
     vp.add_argument("--suite", choices=("examples", "lemmas", "grid"),
                     default="examples")
-    vp.add_argument("--workers", type=int, default=1)
+    vp.add_argument("--workers", type=int, default=1,
+                    help=workers_help)
     vp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("search", help="sweep parameters, CSV to stdout")
     sp.add_argument("--budget", type=int, default=4096,
                     help="largest field size q^k to enumerate")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help=workers_help)
     sp.set_defaults(func=_cmd_search)
     return top
 

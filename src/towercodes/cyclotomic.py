@@ -30,33 +30,9 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .field import Element, Field, is_prime
+from .field import Element, Field, factorize, is_prime
 
 _INT64_SAFE = 1 << 55  # headroom for fold growth inside int64
-
-
-def factorize(n: int) -> List[Tuple[int, int]]:
-    """Prime-power factorization [(p, e), ...] ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def euler_phi(n: int) -> int:
-    out = 1
-    for p, e in factorize(n):
-        out *= p ** (e - 1) * (p - 1)
-    return out
 
 
 class _RingData:
@@ -251,6 +227,13 @@ class CycloInt:
         for i, v in enumerate(self.coeffs):
             cs[i * step] = v
         return CycloInt(n2, cs)
+
+    def times_root(self, o: int, e: int) -> "CycloInt":
+        """self * zeta_o^e without a ring product: lift to
+        Z[zeta_lcm(n, o)] and rotate the coefficients."""
+        a = self.lift(lcm(self.n, o))
+        s = e * (a.n // o) % a.n
+        return CycloInt(a.n, a.coeffs[-s:] + a.coeffs[:-s])
 
     def _pair(self, other):
         if isinstance(other, int):
@@ -522,10 +505,9 @@ def monomial_char_sum(field: Field, tower, b: Element):
     for j in range(q ** f - 1):
         psi = MultChar(field, j, deg=ef)
         g = gauss_sum(field, j, deg=ef)
-        term = g ** (k // f)
         o = psi.order
         e = (-psi.j * i_b) % psi.group_order // (psi.group_order // o)
-        term = term * CycloInt.root(o, e)
+        term = (g ** (k // f)).times_root(o, e)
         total = term if total is None else total + term
     if (k // f - 1) % 2:
         total = -total

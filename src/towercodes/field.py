@@ -8,9 +8,22 @@ arithmetic mod ``p^m - 1``.
 
 The modulus is the smallest primitive polynomial over F_p in lexicographic
 coefficient order (constant term least significant), so a given ``(p, m)``
-always produces the same tables.  Subfields F_{p^d} for ``d | m`` live inside
-the table as the exponents divisible by ``(p^m - 1) / (p^d - 1)``; relative
-traces and norms between any two nested subfields are supported directly.
+always produces the same tables.  A candidate is tested on powers of its
+companion matrix C (the matrix of multiplication by x): x^M = 1 and
+x^(M/l) != 1 for every prime l | M, M = p^m - 1.  Subfields F_{p^d} for
+``d | m`` live inside the table as the exponents divisible by
+``(p^m - 1) / (p^d - 1)``; relative traces and norms between any two nested
+subfields are supported directly.
+
+Every table is built by exact integer numpy work (Lidl-Niederreiter,
+*Finite Fields*, ch. 2-3).  The coefficient rows of alpha^t come by
+doubling: rows [n, 2n) are rows [0, n) times C^n mod p, so the whole table
+takes about log2(M) matrix products.  The log table is one scatter of the
+row encodings and the Zech table one gather, since 1 + alpha^t changes only
+the constant coefficient.  The relative trace table of a subfield sums the
+coefficient rows of the Frobenius conjugates; the trace-zero indicator
+follows from the absolute trace table by linearity.  Both are cached per
+field and degree.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,56 +58,61 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int) -> List[int]:
-    """Distinct prime factors of n, ascending."""
+def factorize(n: int) -> List[Tuple[int, int]]:
+    """Prime-power factorization [(p, e), ...] ascending; [] for n = 1."""
     out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            e = 0
             while n % d == 0:
                 n //= d
+                e += 1
+            out.append((d, e))
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
 
 
-def _poly_mulmod(a, b, modulus, p):
-    # schoolbook product of coefficient lists (low to high), reduced by the
-    # monic modulus of degree m
+# Rows of the alpha-power table multiplied per matrix product while the
+# table is built; bounds the temporaries to a few MB.
+_CHUNK_ROWS = 1 << 15
+
+
+def _companion(modulus, p: int) -> np.ndarray:
+    """Matrix C of multiplication by x on coefficient rows (low degree
+    first) modulo the monic `modulus`: v·C is the row of x·v.
+
+    Entries are below p, so a product of two such m×m matrices sums to
+    less than m·p^2, which int64 holds for every field a table fits.
+    """
     m = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, m - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(m):
-                prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
-    out = prod[:m]
-    while len(out) < m:
-        out.append(0)
-    return out
+    C = np.zeros((m, m), dtype=np.int64)
+    C[np.arange(m - 1), np.arange(1, m)] = 1
+    C[m - 1] = [(-c) % p for c in modulus[:m]]
+    return C
 
 
-def _poly_powmod(a, e, modulus, p):
-    m = len(modulus) - 1
-    result = [1] + [0] * (m - 1)
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, modulus, p)
-        base = _poly_mulmod(base, base, modulus, p)
-        e >>= 1
-    return result
+def _x_pow_is_one(squares, e: int, p: int) -> bool:
+    """Whether x^e = 1, given squares[i] = C^(2^i) for i < e.bit_length():
+    the row of x^e is the unit row times the factors picked by e's bits."""
+    m = len(squares[0])
+    one = np.eye(1, m, dtype=np.int64)[0]
+    row = one
+    for i in range(e.bit_length()):
+        if e >> i & 1:
+            row = row @ squares[i] % p
+    return np.array_equal(row, one)
 
 
-def _is_one(poly) -> bool:
-    return poly[0] == 1 and not any(poly[1:])
+def _encode(rows: np.ndarray, p: int) -> np.ndarray:
+    """int64 encodings sum_i rows[:, i] * p^i of coefficient rows."""
+    enc = np.zeros(len(rows), dtype=np.int64)
+    for i in reversed(range(rows.shape[1])):
+        enc *= p
+        enc += rows[:, i]
+    return enc
 
 
 class Field:
@@ -117,72 +135,70 @@ class Field:
         self.modulus = self._find_modulus()
         self._build_tables()
         self._abs_trace = None
-        self._zero_indicator = {}
+        self._zero_indicator: Dict[int, np.ndarray] = {}
+        self._subtables: Dict[Tuple[int, int], Tuple[Element, ...]] = {}
 
     # -- construction -------------------------------------------------
 
     def _find_modulus(self):
-        """Smallest primitive monic polynomial in lex coefficient order."""
+        """Smallest primitive monic polynomial in lex coefficient order.
+
+        A candidate is primitive when x^M = 1 and x^(M/l) != 1 for every
+        prime l | M; x^E is read off a power of its companion matrix.
+        """
         p, m, M = self.p, self.m, self.mult_order
-        factors = prime_factors(M) if M > 1 else []
+        factors = [l for l, _ in factorize(M)]
         for code in range(1, self.order):
             if code % p == 0:
                 continue  # constant term 0: divisible by x
-            coeffs = []
-            c = code
-            for _ in range(m):
-                coeffs.append(c % p)
-                c //= p
-            modulus = coeffs + [1]
-            if m == 1:
-                xpoly = [(-coeffs[0]) % p]
-            else:
-                xpoly = [0, 1] + [0] * (m - 2)
-            if not _is_one(_poly_powmod(xpoly, M, modulus, p)):
-                continue
-            if any(
-                _is_one(_poly_powmod(xpoly, M // l, modulus, p))
-                for l in factors
-            ):
-                continue
-            return tuple(modulus)
+            modulus = tuple(code // p ** i % p for i in range(m)) + (1,)
+            squares = [_companion(modulus, p)]
+            for _ in range(M.bit_length() - 1):
+                squares.append(squares[-1] @ squares[-1] % p)
+            if _x_pow_is_one(squares, M, p) and not any(
+                    _x_pow_is_one(squares, M // l, p) for l in factors):
+                return modulus
         raise RuntimeError(f"no primitive polynomial found for p={p}, m={m}")
 
     def _build_tables(self):
         p, m, M = self.p, self.m, self.mult_order
-        modulus = self.modulus
+        C = _companion(self.modulus, p)
+        # coefficient rows V[t] of alpha^t over F_p, by doubling:
+        # V[n:2n] = V[:n] · C^n, then C^(2n) = (C^n)^2; products run in
+        # the smallest dtype that holds their sums, below m·p^2
+        V = np.zeros((M, m), dtype=np.min_scalar_type(p - 1))
+        V[0, 0] = 1
+        work = np.min_scalar_type(m * (p - 1) ** 2)
+        n, Cn = 1, C.astype(work)
+        while n < M:
+            for lo in range(0, min(n, M - n), _CHUNK_ROWS):
+                hi = min(lo + _CHUNK_ROWS, M - n, n)
+                V[n + lo:n + hi] = V[lo:hi].astype(work, copy=False) @ Cn % p
+            Cn = Cn @ Cn % p
+            n *= 2
         # alpha^t stored as integer encodings sum(c_i * p^i) of the
         # coefficient vector; dlog is the inverse lookup
-        powers = [0] * M
-        dlog = [-1] * self.order
-        vec = [1] + [0] * (m - 1)
-        pm1 = p ** (m - 1)
-        for t in range(M):
-            enc = 0
-            for c in reversed(vec):
-                enc = enc * p + c
-            if dlog[enc] != -1:
-                raise RuntimeError("modulus is not primitive (cycle repeats)")
-            powers[t] = enc
-            dlog[enc] = t
-            # multiply by x and reduce
-            lead = vec[m - 1]
-            vec = [0] + vec[: m - 1]
-            if lead:
-                for j in range(m):
-                    vec[j] = (vec[j] - lead * modulus[j]) % p
-        if vec != [1] + [0] * (m - 1):
+        enc = _encode(V, p)
+        dlog = np.full(self.order, -1, dtype=np.int64)
+        dlog[enc] = np.arange(M)
+        # M powers fill the M nonzero encodings only if none repeats
+        if not enc.all() or (dlog[1:] < 0).any():
+            raise RuntimeError("modulus is not primitive (cycle repeats)")
+        if not np.array_equal(V[M - 1].astype(np.int64) @ C % p,
+                              np.eye(1, m, dtype=np.int64)[0]):
             raise RuntimeError("alpha cycle does not close at order p^m - 1")
-        self.alpha_powers = powers
-        self._dlog = dlog
-        # Zech table: 1 + alpha^t, None where the sum is zero
-        zech: List[Element] = [None] * M
-        for t in range(M):
-            enc = powers[t]
-            c0 = enc % p
-            enc1 = enc - c0 + (c0 + 1) % p
-            zech[t] = dlog[enc1] if enc1 else None
+        V.flags.writeable = False
+        self._coeffs = V
+        self._dlog = dlog.tolist()
+        # Zech table: 1 + alpha^t adds 1 to the constant coefficient, p - 1
+        # wrapping to 0; the one t with alpha^t = -1 gives zero, stored as
+        # None.  The object-array gather shares _dlog's int objects.
+        enc1 = enc + 1
+        enc1[V[:, 0] == p - 1] -= p
+        zech: List[Element] = np.array(self._dlog, dtype=object)[enc1].tolist()
+        zech[int(np.flatnonzero(enc1 == 0)[0])] = None
         self.zech = zech
+        self.alpha_powers = enc.tolist()
 
     # -- element encodings --------------------------------------------
 
@@ -360,36 +376,50 @@ class Field:
 
     # -- bulk tables for enumeration kernels ----------------------------
 
-    def trace_exp_subtable(self, from_deg: int, to_deg: int):
-        """List of length p^from_deg - 1: entry i is the trace (as an
-        Element) of g**i where g generates F_{p^from_deg}^*."""
+    def trace_exp_subtable(self, from_deg: int, to_deg: int
+                           ) -> Tuple[Element, ...]:
+        """Tuple of length p^from_deg - 1: entry i is the trace (as an
+        Element) of g**i where g generates F_{p^from_deg}^*.  Cached per
+        degree pair.
+
+        The trace of alpha^u is the sum of the coefficient rows of its
+        conjugates alpha^(u s^j), s = p^to_deg, mapped back through dlog.
+        """
         self._check_degrees(from_deg, to_deg)
-        Mf = self.p ** from_deg - 1
-        L = self.mult_order // Mf
-        s = self.p ** to_deg
-        M = self.mult_order
-        terms = from_deg // to_deg
-        add = self.add
-        out: List[Element] = [None] * Mf
-        for i in range(Mf):
-            u = i * L
-            acc: Element = u
-            e = u
-            for _ in range(terms - 1):
-                e = (e * s) % M
-                acc = add(acc, e)
-            out[i] = acc
-        return out
+        tab = self._subtables.get((from_deg, to_deg))
+        if tab is None:
+            p, M = self.p, self.mult_order
+            Mf = p ** from_deg - 1
+            terms = from_deg // to_deg
+            u = np.arange(Mf, dtype=np.int64) * (M // Mf)
+            rows = np.zeros((Mf, self.m),
+                            dtype=np.min_scalar_type(terms * (p - 1)))
+            for _ in range(terms):
+                rows += self._coeffs[u]
+                u = u * p ** to_deg % M
+            logs = map(self._dlog.__getitem__, _encode(rows % p, p).tolist())
+            tab = tuple(None if t < 0 else t for t in logs)
+            self._subtables[(from_deg, to_deg)] = tab
+        return tab
 
     def trace_zero_indicator(self, to_deg: int) -> np.ndarray:
         """Read-only uint8 array over exponents u in [0, p^m - 1): 1 where
         the trace of alpha^u down to F_{p^to_deg} vanishes.  Cached per
-        degree."""
+        degree.
+
+        With g generating F_{p^to_deg}^*, the g^i (i < to_deg) are an
+        F_p-basis of F_{p^to_deg}, so Tr_{m/to_deg}(x) = 0 exactly when
+        Tr_{m/1}(g^i x) = 0 for every i < to_deg.
+        """
         ind = self._zero_indicator.get(to_deg)
         if ind is None:
-            tab = self.trace_exp_subtable(self.m, to_deg)
-            ind = np.array([1 if e is None else 0 for e in tab],
-                           dtype=np.uint8)
+            self._check_degrees(self.m, to_deg)
+            tr = self.abs_trace_residues()
+            step = self.subfield_exp(to_deg)
+            zero = tr == 0
+            for i in range(1, to_deg):
+                zero &= np.roll(tr, -i * step) == 0
+            ind = zero.astype(np.uint8)
             ind.flags.writeable = False
             self._zero_indicator[to_deg] = ind
         return ind
@@ -399,14 +429,11 @@ class Field:
         if self._abs_trace is not None:
             return self._abs_trace
         p, m, M = self.p, self.m, self.mult_order
-        basis = np.empty(m, dtype=np.int64)
-        for i in range(m):
-            basis[i] = self.residue(self.trace(i % M if M > 1 else 0, m, 1))
-        enc = np.array(self.alpha_powers, dtype=np.int64)
         total = np.zeros(M, dtype=np.int64)
         for i in range(m):
-            total += (enc % p) * basis[i]
-            enc //= p
+            # Tr is F_p-linear: weight coefficient i by Tr(alpha^i)
+            tr_i = self.residue(self.trace(i % M, m, 1))
+            total += self._coeffs[:, i].astype(np.int64) * tr_i
         self._abs_trace = total % p
         return self._abs_trace
 

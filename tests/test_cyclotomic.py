@@ -9,8 +9,6 @@ from towercodes.cyclotomic import (
     CycloInt,
     MultChar,
     davenport_hasse_lift,
-    euler_phi,
-    factorize,
     gauss_sum,
     gauss_sum_semiprimitive,
     lifted_char_index,
@@ -69,6 +67,17 @@ def test_cross_ring_arithmetic():
     assert CycloInt.integer(6, 5) == CycloInt.integer(15, 5)
     with pytest.raises(ValueError):
         zeta(4).lift(6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 15, 30])
+def test_times_root_matches_full_product(n):
+    # coefficient vectors, not only canonical forms, must agree
+    for a in sample_elements(n):
+        for o in (1, 2, 3, 4, 5, 10, 12):
+            for e in (0, 1, 2, o - 1, 2 * o + 3, -1):
+                got = a.times_root(o, e)
+                want = a * CycloInt.root(o, e)
+                assert (got.n, got.coeffs) == (want.n, want.coeffs)
 
 
 def test_scalar_detection():
@@ -347,14 +356,3 @@ def test_unity_power_sums_errors():
         unity_power_sums(5, 3)  # s = (q+1)/2
     with pytest.raises(ValueError):
         unity_power_sums(5, 6)
-
-
-# -- number-theory helpers ----------------------------------------------------
-
-
-def test_factorize_and_phi():
-    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
-    assert factorize(1) == []
-    assert euler_phi(1) == 1
-    assert euler_phi(12) == 4
-    assert euler_phi(97) == 96

@@ -2,7 +2,7 @@
 
 import pytest
 
-from towercodes.field import Field, TowerSpec, get_field, is_prime, prime_factors
+from towercodes.field import Field, TowerSpec, factorize, get_field, is_prime
 
 
 # Reproducible moduli: smallest primitive polynomial in lex coefficient
@@ -57,6 +57,118 @@ def test_tables_match_polynomial_arithmetic(p, m):
             pr = poly_mul_mod(vec[x], vec[y], F.modulus, p)
             assert vec[F.mul(x, y)] == pr
             assert back[pr] == F.mul(x, y)
+
+
+# -- literal construction oracles --------------------------------------------
+#
+# Polynomial square-and-multiply for the modulus search and one LFSR step
+# per power of alpha for the tables, independent of the companion-matrix
+# doubling in field.py.
+
+
+def literal_modulus(p, m):
+    """Smallest primitive monic polynomial by square-and-multiply on
+    polynomials: x^M = 1 and x^(M/l) != 1 for each prime l | M."""
+    M = p ** m - 1
+
+    def x_pow_is_one(xpoly, e, modulus):
+        result = (1,) + (0,) * (m - 1)
+        base = xpoly
+        while e:
+            if e & 1:
+                result = poly_mul_mod(result, base, modulus, p)
+            base = poly_mul_mod(base, base, modulus, p)
+            e >>= 1
+        return result == (1,) + (0,) * (m - 1)
+
+    for code in range(1, p ** m):
+        if code % p == 0:
+            continue
+        coeffs = []
+        c = code
+        for _ in range(m):
+            coeffs.append(c % p)
+            c //= p
+        modulus = coeffs + [1]
+        xpoly = ((-coeffs[0]) % p,) if m == 1 else (0, 1) + (0,) * (m - 2)
+        if x_pow_is_one(xpoly, M, modulus) and not any(
+                x_pow_is_one(xpoly, M // l, modulus) for l, _ in factorize(M)):
+            return tuple(modulus)
+    raise AssertionError("no primitive polynomial")
+
+
+def literal_tables(p, m, modulus):
+    """(alpha_powers, dlog, zech) by stepping x -> x * alpha once per t."""
+    M = p ** m - 1
+    powers = [0] * M
+    dlog = [-1] * p ** m
+    vec = [1] + [0] * (m - 1)
+    for t in range(M):
+        enc = 0
+        for c in reversed(vec):
+            enc = enc * p + c
+        assert dlog[enc] == -1, "cycle repeats"
+        powers[t] = enc
+        dlog[enc] = t
+        lead = vec[m - 1]
+        vec = [0] + vec[: m - 1]
+        if lead:
+            for j in range(m):
+                vec[j] = (vec[j] - lead * modulus[j]) % p
+    assert vec == [1] + [0] * (m - 1), "cycle does not close"
+    zech = []
+    for t in range(M):
+        c0 = powers[t] % p
+        enc1 = powers[t] - c0 + (c0 + 1) % p
+        zech.append(dlog[enc1] if enc1 else None)
+    return powers, dlog, zech
+
+
+def fields_up_to(limit, primes=(2, 3, 5, 7)):
+    return [(p, m) for p in primes for m in range(1, 40) if p ** m <= limit]
+
+
+@pytest.mark.parametrize("p,m", fields_up_to(1 << 14))
+def test_tables_match_literal_lfsr(p, m):
+    F = Field(p, m)
+    assert F.modulus == literal_modulus(p, m)
+    powers, dlog, zech = literal_tables(p, m, F.modulus)
+    assert F.alpha_powers == powers
+    assert F._dlog == dlog
+    assert F.zech == zech
+    # plain Python ints, so no numpy scalar reaches an Element
+    assert {type(v) for v in F.alpha_powers + F._dlog} == {int}
+    assert {type(v) for v in F.zech} <= {int, type(None)}
+
+
+def test_table_build_rejects_bad_moduli(monkeypatch):
+    # x^4 + x^3 + x^2 + x + 1 is irreducible over F_2, but x has order 5
+    monkeypatch.setattr(Field, "_find_modulus", lambda self: (1, 1, 1, 1, 1))
+    with pytest.raises(RuntimeError, match="cycle repeats"):
+        Field(2, 4)
+    # x itself: the single power hits the single nonzero vector, but
+    # alpha^1 = 0 does not close the cycle
+    monkeypatch.setattr(Field, "_find_modulus", lambda self: (0, 1))
+    with pytest.raises(RuntimeError, match="does not close"):
+        Field(2, 1)
+
+
+@pytest.mark.parametrize("p,m", fields_up_to(1 << 12))
+def test_trace_tables_match_scalar_trace(p, m):
+    F = Field(p, m)
+    degrees = [d for d in range(1, m + 1) if m % d == 0]
+    for hi in degrees:
+        step = F.subfield_exp(hi)
+        for lo in (d for d in degrees if hi % d == 0):
+            tab = F.trace_exp_subtable(hi, lo)
+            assert tab == tuple(F.trace(i * step, hi, lo)
+                                for i in range(p ** hi - 1))
+            assert {type(v) for v in tab} <= {int, type(None)}
+            assert F.trace_exp_subtable(hi, lo) is tab
+    for d in degrees:
+        ind = F.trace_zero_indicator(d)
+        want = [1 if t is None else 0 for t in F.trace_exp_subtable(m, d)]
+        assert ind.tolist() == want
 
 
 def test_frozen_moduli():
@@ -253,8 +365,8 @@ def test_get_field_is_cached():
 def test_primality_helpers():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
-    assert prime_factors(360) == [2, 3, 5]
-    assert prime_factors(1) == []
+    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factorize(1) == []
 
 
 # -- tower specs -------------------------------------------------------------
