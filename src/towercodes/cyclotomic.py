@@ -35,6 +35,14 @@ from .field import Element, Field, factorize, is_prime
 _INT64_SAFE = 1 << 55  # headroom for fold growth inside int64
 
 
+def euler_phi(n: int) -> int:
+    """Rank of Z[zeta_n] over Z."""
+    out = 1
+    for p, e in factorize(n):
+        out *= p ** (e - 1) * (p - 1)
+    return out
+
+
 class _RingData:
     """Cached combinatorics for reducing Z[x]/(x^n-1) to the Z[zeta_n] basis."""
 
@@ -59,7 +67,7 @@ class _RingData:
             flat += ((u * idx) % m) * st
         self.perm = flat
         self.shape = shape
-        phi_shape = tuple(p ** (e - 1) * (p - 1) for p, e in fac)
+        phi_shape = tuple(euler_phi(m) for m in self.moduli)
         self.phi_shape = phi_shape
         # zeta_n exponent of each canonical basis slot, for display
         base = np.zeros((), dtype=np.int64)

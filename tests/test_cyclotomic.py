@@ -9,6 +9,8 @@ from towercodes.cyclotomic import (
     CycloInt,
     MultChar,
     davenport_hasse_lift,
+    euler_phi,
+    factorize,
     gauss_sum,
     gauss_sum_semiprimitive,
     lifted_char_index,
@@ -356,3 +358,14 @@ def test_unity_power_sums_errors():
         unity_power_sums(5, 3)  # s = (q+1)/2
     with pytest.raises(ValueError):
         unity_power_sums(5, 6)
+
+
+# -- number-theory helpers ----------------------------------------------------
+
+
+def test_factorize_and_phi():
+    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factorize(1) == []
+    assert euler_phi(1) == 1
+    assert euler_phi(12) == 4
+    assert euler_phi(97) == 96
