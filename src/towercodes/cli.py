@@ -125,6 +125,12 @@ def _cmd_gauss(args) -> int:
     psi = MultChar(field, args.j)
     g = gauss_sum(field, args.j)
     norm = g * g.conj()
+    if not norm.is_scalar:
+        raise RuntimeError("G * conj(G) is not a rational integer")
+    want = 1 if psi.order == 1 else field.order
+    if norm.as_int() != want:
+        raise RuntimeError(
+            f"G * conj(G) = {norm.as_int()}, expected {want}")
     doc = {
         "p": args.p,
         "m": m,
@@ -179,8 +185,9 @@ def _parser() -> argparse.ArgumentParser:
 
     q_help = "base subfield is F_{p^e}; the code field is F_{p^(e*k)}"
     workers_help = ("threads for the enumeration kernel, at most one per "
-                    "CPU; they split only the q^f - 1 residues, so they "
-                    "start only when q^f - 1 >= 4096")
+                    "CPU; they split the shifts it sums (one per F_q^* "
+                    "translate and q-Frobenius class of the q^f - 1 "
+                    "residues) and start only when q^f - 1 >= 4096")
 
     fp = sub.add_parser("field", help="field table facts")
     fp.add_argument("--p", type=int, required=True, help="characteristic")

@@ -18,9 +18,16 @@ M = q^k - 1 and Mf = q^f - 1 the count Z_s depends only on s mod Mf:
     Z_s = sum_{h in D mod Mf} N0[(s + h) mod Mf],
     N0[t] = |{u = t mod Mf : Tr(alpha^u) = 0}|.
 
-One pass over the trace-zero table gives N0, a vectorized gather over the
-Mf residues gives Z, and tiling gives all M counts: O(M + Mf |D mod Mf|)
-work instead of O(M |D|).  A punctured set is expanded back to its F_q^*
+Two more symmetries come from the trace alone.  Tr is F_q-linear, so
+Z_(s + sigma) = Z_s with alpha^sigma generating F_q^*, sigma =
+(q^k-1)/(q-1); with the period Mf this leaves the period
+g = gcd(sigma, Mf) = N gcd(k/f, q-1), N = (q^f-1)/(q-1).  And x -> x^q
+fixes a, maps D onto itself and keeps Tr(x) = 0, so Z_(qs) = Z_s (x -> x^p
+moves a when q > p, so p would not do).  One pass over the trace-zero
+table gives N0, a vectorized gather computes Z only at the least member
+of each class {q^i t mod g} (about g/f classes), and expanding the
+classes and tiling gives all M counts: O(M + (g/f) |D mod Mf|) work
+instead of O(M |D|).  A punctured set is expanded back to its F_q^*
 orbits first; the trace is F_q-linear, so the counts divide exactly by
 q - 1.  The histogram over b is then deduplicated by the kernel of
 b -> c_b, so repeated codewords (when the map is not injective) are
@@ -30,6 +37,7 @@ counted once, and its first moment is checked against the Pless identity.
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -174,40 +182,50 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
     tower = ds.tower
     field = tower.field()
     M = field.mult_order
-    Mf = tower.q ** tower.f - 1
+    q = tower.q
+    Mf = q ** tower.f - 1
+    step = field.subfield_exp(tower.e)  # alpha**step generates F_q^*
     D = np.array(ds.elements, dtype=np.int64)
     if ds.punctured:
-        step = field.subfield_exp(tower.e)  # alpha**step generates F_q^*
-        D = (D[:, None] + step * np.arange(tower.q - 1)).ravel()
+        D = (D[:, None] + step * np.arange(q - 1)).ravel()
     full = np.unique(D % M)
     H = np.unique(full % Mf)
     if full.size != D.size or H.size * (M // Mf) != full.size:
         raise ValueError(f"{ds!r} is not a union of norm-kernel cosets")
     N0 = field.trace_zero_indicator(tower.e).reshape(-1, Mf).sum(
         axis=0, dtype=np.int64)
+    # Z_s has period g (F_q^*-scaling) and Z_(qs) = Z_s (q-Frobenius), so
+    # one shift per class of t -> q t mod g is summed
+    g = gcd(step, Mf)
+    t = np.arange(g, dtype=np.int64)
+    least = t.copy()
+    for _ in range(tower.f - 1):
+        t = t * q % g
+        np.minimum(least, t, out=least)
+    reps, inverse = np.unique(least, return_inverse=True)
     rows = max(1, _CHUNK_CELLS // max(1, H.size))
 
     def run(lo: int, hi: int) -> np.ndarray:
         out = np.empty(hi - lo, dtype=np.int64)
         for start in range(lo, hi, rows):
             stop = min(start + rows, hi)
-            s = np.arange(start, stop, dtype=np.int64)
-            idx = (s[:, None] + H[None, :]) % Mf
+            idx = (reps[start:stop, None] + H[None, :]) % Mf
             out[start - lo:stop - lo] = N0[idx].sum(axis=1)
         return out
 
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or Mf < 4096:
-        counts = run(0, Mf)
+        sums = run(0, reps.size)
     else:
-        bounds = np.linspace(0, Mf, workers + 1, dtype=np.int64)
+        bounds = np.linspace(0, reps.size, workers + 1, dtype=np.int64)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = np.concatenate(list(pool.map(
+            sums = np.concatenate(list(pool.map(
                 lambda i: run(int(bounds[i]), int(bounds[i + 1])),
                 range(workers))))
+    counts = sums[inverse]
     if ds.punctured:
-        counts //= tower.q - 1
-    return np.tile(counts, M // Mf)
+        counts //= q - 1
+    return np.tile(counts, M // g)
 
 
 def brute_weight_distribution(ds: DefiningSet, workers: int = 1,

@@ -29,6 +29,7 @@ Direct-summation oracles are kept alongside: literal triple sums over
 zero-trace counts that scales to the full test grid.
 """
 
+from collections import Counter
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Dict, List, Optional, Tuple
@@ -107,27 +108,39 @@ def coset_of(tower: TowerSpec, b: Element) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_formula(tower: TowerSpec, a_index: int) -> None:
+    if a_index == 0:
+        if not tower.k > tower.f > 1:
+            raise ValueError("the a = 0 weight formula needs k > f > 1")
+    elif not tower.gcd_condition():
+        raise ValueError("closed form needs gcd(k/f, q-1) = 1")
+
+
+def _weight_from_sum(tower: TowerSpec, a_index: int, T: int) -> int:
+    """The weight of every c_b whose coset sum is T (formulas above)."""
+    q, f, k = tower.q, tower.f, tower.k
+    if a_index == 0:
+        num = (q - 1) * q ** (k - 2) * (q ** f - q) \
+            - _sign(tower) * q ** (f - 2) * (q - 1) ** 2 * T
+    else:
+        num = (q - 1) * q ** (f + k - 2)
+        if T:  # T = 0 whenever f = 1, where q^(f-2) is not an integer
+            num += _sign(tower) * (q - 1) * q ** (f - 2) * T
+    return _exact_div(num, q ** f - 1)
+
+
 def weight_zero_shift(tower: TowerSpec, b: Element) -> int:
     """Weight of c_b in the a = 0 code, from the coset sum."""
-    if not tower.k > tower.f > 1:
-        raise ValueError("the a = 0 weight formula needs k > f > 1")
-    q, f, k = tower.q, tower.f, tower.k
-    T = coset_sums(tower)[coset_of(tower, b)]
-    num = (q - 1) * q ** (k - 2) * (q ** f - q) \
-        - _sign(tower) * q ** (f - 2) * (q - 1) ** 2 * T
-    return _exact_div(num, q ** f - 1)
+    _check_formula(tower, 0)
+    return _weight_from_sum(tower, 0,
+                            coset_sums(tower)[coset_of(tower, b)])
 
 
 def weight_nonzero_shift(tower: TowerSpec, b: Element) -> int:
     """Weight of c_b in the code of any nonzero shift a."""
-    if not tower.gcd_condition():
-        raise ValueError("closed form needs gcd(k/f, q-1) = 1")
-    q, f, k = tower.q, tower.f, tower.k
-    T = coset_sums(tower)[coset_of(tower, b)]
-    num = (q - 1) * q ** (f + k - 2)
-    if T:
-        num += _sign(tower) * (q - 1) * q ** (f - 2) * T
-    return _exact_div(num, q ** f - 1)
+    _check_formula(tower, 1)
+    return _weight_from_sum(tower, 1,
+                            coset_sums(tower)[coset_of(tower, b)])
 
 
 def predicted_distribution(tower: TowerSpec, a_index: int,
@@ -136,12 +149,11 @@ def predicted_distribution(tower: TowerSpec, a_index: int,
 
     Covers every f: a_index = 0 needs k > f > 1, nonzero a_index needs
     gcd(k/f, q-1) = 1.  Each coset c contributes (q^k-1)/N words of the
-    same weight.
+    same weight, so each distinct T_c is weighed once, with its count.
     """
     q, f, k = tower.q, tower.f, tower.k
     N = (q ** f - 1) // (q - 1)
     per_coset = (q ** k - 1) // N
-    weigh = weight_zero_shift if a_index == 0 else weight_nonzero_shift
     counts: Dict[int, int] = {0: 1}
     scale = q - 1 if punctured else 1
     if punctured and a_index != 0:
@@ -149,12 +161,14 @@ def predicted_distribution(tower: TowerSpec, a_index: int,
     n_code = code_length(tower, a_index)
     if punctured:
         n_code = _exact_div(n_code, q - 1)
-    for c in range(N):
-        w = weigh(tower, b=c)  # any b with s mod N = c; exponent c itself
+    _check_formula(tower, a_index)
+    # first-seen order: a bad T raises where its first coset would
+    for T, cosets in Counter(coset_sums(tower)).items():
+        w = _weight_from_sum(tower, a_index, T)
         w = _exact_div(w, scale) if scale > 1 else w
         if w <= 0:
             raise ArithmeticError("predicted weight must be positive")
-        counts[w] = counts.get(w, 0) + per_coset
+        counts[w] = counts.get(w, 0) + per_coset * cosets
     return WeightDistribution(n_code, k, counts, q)
 
 

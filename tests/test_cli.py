@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from towercodes.cli import main
+from towercodes.cyclotomic import CycloInt
 
 
 def run(capsys, *argv):
@@ -81,6 +82,30 @@ def test_gauss_irrational(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["scalar"] == 2 and doc["norm"] == 4
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda g: g + 1, "G * conj(G) = 4, expected 9"),  # G = -3 here
+    (lambda g: g + CycloInt.root(5), "G * conj(G) is not a rational integer"),
+], ids=["wrong-integer", "irrational"])
+def test_gauss_bad_norm_exits_1(capsys, monkeypatch, corrupt, message):
+    from towercodes import cli
+    honest = cli.gauss_sum
+    monkeypatch.setattr(cli, "gauss_sum",
+                        lambda field, j: corrupt(honest(field, j)))
+    code, out, err = run(capsys, "gauss", "--p", "3", "--e", "1", "--k",
+                         "2", "--j", "2")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_gauss_trivial_character_norm_is_one(capsys):
+    for argv in (("--p", "3", "--e", "1", "--k", "2", "--j", "0"),
+                 ("--p", "2", "--e", "1", "--k", "1", "--j", "0")):
+        code, out, _ = run(capsys, "gauss", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["char_order"], doc["scalar"], doc["norm"]) == (1, -1, 1)
 
 
 def test_verify_examples(capsys):

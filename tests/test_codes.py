@@ -202,6 +202,35 @@ def test_zero_counts_match_literal_sum(tower):
                               _literal_zero_counts(ds)), ds
 
 
+@pytest.mark.parametrize("tower", grid_towers(1 << 12),
+                         ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_zero_counts_have_the_kernel_symmetries(tower):
+    # zero_trace_counts sums one shift per class of s under s -> s + sigma
+    # (F_q^* scaling) and s -> q s (q-Frobenius); both must hold for the
+    # literal sum, punctured sets included
+    q = tower.q
+    M = tower.field().mult_order
+    sigma = tower.field().subfield_exp(tower.e)
+    s = np.arange(M)
+    sets = [build_defining_set(tower, a) for a in range(1, q)]
+    if tower.f > 1:
+        full = build_defining_set(tower, 0)
+        sets += [full, puncture(full)]
+    for ds in sets:
+        Z = _literal_zero_counts(ds)
+        assert np.array_equal(Z[(s + sigma) % M], Z), ds
+        assert np.array_equal(Z[q * s % M], Z), ds
+
+
+def test_p_frobenius_is_not_a_kernel_symmetry():
+    # x -> x^p moves a = 2, 3 of F_4 to each other, so Z_(ps) != Z_s there
+    tower = TowerSpec(2, 2, 2, 6)
+    s = np.arange(tower.field().mult_order)
+    for a in (2, 3):
+        Z = _literal_zero_counts(build_defining_set(tower, a))
+        assert not np.array_equal(Z[2 * s % s.size], Z), a
+
+
 def test_grid_punctured_recount_catches_rotated_counts(monkeypatch):
     # rotated punctured counts keep their distribution, so only the grid's
     # literal recount over the punctured elements can see the fault

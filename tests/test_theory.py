@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from towercodes.codes import brute_weight_distribution, build_defining_set, \
-    puncture, zero_trace_counts
+from towercodes.codes import WeightDistribution, \
+    brute_weight_distribution, build_defining_set, puncture, \
+    zero_trace_counts
 from towercodes.cyclotomic import CycloInt, MultChar, gauss_sum
 from towercodes.field import TowerSpec, get_field
 from towercodes.theory import (
@@ -208,6 +209,46 @@ def test_predicted_punctured():
     assert predicted_distribution(tower, 0, punctured=True) == brute
     with pytest.raises(ValueError):
         predicted_distribution(tower, 1, punctured=True)
+
+
+def _per_coset_distribution(tower, a_index, punctured):
+    # the literal route: one weight_*_shift call per coset c < N
+    q, f, k = tower.q, tower.f, tower.k
+    N = (q ** f - 1) // (q - 1)
+    weigh = weight_zero_shift if a_index == 0 else weight_nonzero_shift
+    if punctured and a_index != 0:
+        raise ValueError("puncturing requires the a = 0 code")
+    scale = q - 1 if punctured else 1
+    n_code = code_length(tower, a_index)
+    if n_code % scale:
+        raise ArithmeticError(f"{n_code} is not divisible by {scale}")
+    counts = {0: 1}
+    for c in range(N):
+        w = weigh(tower, c)
+        if w % scale:
+            raise ArithmeticError(f"{w} is not divisible by {scale}")
+        w //= scale
+        if w <= 0:
+            raise ArithmeticError("predicted weight must be positive")
+        counts[w] = counts.get(w, 0) + (q ** k - 1) // N
+    return WeightDistribution(n_code // scale, k, counts, q)
+
+
+@pytest.mark.parametrize("tower", grid_towers(1 << 12),
+                         ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_predicted_matches_per_coset_weights(tower):
+    # one pass over the distinct T_c gives the per-coset tally, and an
+    # inapplicable tower raises the same error
+    for a_index, punctured in ((0, False), (0, True), (1, False)):
+        try:
+            want = _per_coset_distribution(tower, a_index, punctured)
+        except (ValueError, ArithmeticError) as exc:
+            with pytest.raises(type(exc)) as got:
+                predicted_distribution(tower, a_index, punctured=punctured)
+            assert str(got.value) == str(exc)
+        else:
+            assert predicted_distribution(
+                tower, a_index, punctured=punctured) == want
 
 
 def test_family_f2_zero_shift():
