@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from .codes import brute_weight_distribution, build_defining_set, puncture
 from .cyclotomic import gauss_sum, MultChar
-from .field import TowerSpec, get_field
+from .field import MAX_FIELD_ORDER, TowerSpec, get_field
 from .theory import TheoryReport
 from .verify import grid_towers, run_suite
 
@@ -171,6 +171,9 @@ def _search_rows(budget: int, workers: int) -> List[str]:
 
 
 def _cmd_search(args) -> int:
+    if args.budget > MAX_FIELD_ORDER:
+        raise ValueError(f"--budget {args.budget} exceeds the field budget "
+                         f"{MAX_FIELD_ORDER}")
     print(_CSV_HEADER)
     for row in _search_rows(args.budget, args.workers):
         print(row)
@@ -227,7 +230,8 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="sweep parameters, CSV to stdout")
     sp.add_argument("--budget", type=int, default=4096,
-                    help="largest field size q^k to enumerate")
+                    help="largest field size q^k to enumerate, at most "
+                    f"{MAX_FIELD_ORDER}")
     sp.add_argument("--workers", type=int, default=1,
                     help=workers_help)
     sp.set_defaults(func=_cmd_search)

@@ -7,8 +7,12 @@ F_p <= F_q <= F_{q^f} <= F_{q^k}:
     D = {x in F_{q^k}^* : Tr_{q^f/q}(x^((q^k-1)/(q^f-1))) + a = 0}
 
 and the code is C_D = {(Tr_{q^k/q}(b d))_{d in D} : b in F_{q^k}}.  Elements
-of D are kept as alpha-exponents in increasing order, which fixes the
-coordinate permutation and makes codeword-level results reproducible.
+of D are kept as alpha-exponents in increasing order, in a read-only int64
+array, which fixes the coordinate permutation and makes codeword-level
+results reproducible.  D is one vectorized scan of the subfield trace
+table, and puncturing keeps s mod (q^k-1)/(q-1), the least exponent of each
+F_q^*-orbit.  The field budget of field.py bounds every code: the top field
+is built, and refused above the budget, before any enumeration.
 
 Enumeration covers all q^k values of b: the weight of c_b for b = alpha^s
 is |D| minus Z_s, the number of d in D with Tr(alpha^(s+d)) = 0.  D is a
@@ -42,20 +46,24 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .field import Element, Field, TowerSpec
+from .field import Element, TowerSpec
 
 _CHUNK_CELLS = 1 << 20  # bound on rows*|H| per vectorized block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefiningSet:
-    """Ordered defining set with its tower and shift parameters."""
+    """Ordered defining set with its tower and shift parameters; `elements`
+    is a read-only int64 array of alpha-exponents."""
 
     tower: TowerSpec
     a_index: int
     a: Element
-    elements: Tuple[int, ...]
+    elements: np.ndarray
     punctured: bool = False
+
+    def __post_init__(self):
+        self.elements.flags.writeable = False
 
     def __len__(self):
         return len(self.elements)
@@ -74,20 +82,17 @@ def build_defining_set(tower: TowerSpec, a_index: int) -> DefiningSet:
     """
     field = tower.field()
     q, f = tower.q, tower.f
-    ef = tower.e * tower.f
     a = field.subfield_element_from_index(a_index, tower.e)
-    target = field.neg(a)
-    sub_traces = field.trace_exp_subtable(ef, tower.e)
-    qf1 = q ** f - 1
-    hits = np.array([i for i, t in enumerate(sub_traces) if t == target],
-                    dtype=np.int64)
+    target = -1 if a is None else field.neg(a)  # -1: the tables' zero
+    sub_traces = field.trace_exp_subtable(tower.e * f, tower.e)
+    hits = np.flatnonzero(sub_traces == target)
     if hits.size == 0:
         raise ValueError(
             f"defining set is empty for q={q}, f={f}, k={tower.k}, "
             f"a={a_index}; the a=0 regime needs k > f > 1")
-    reps = np.arange(tower.norm_exp, dtype=np.int64) * qf1
-    elements = np.sort((reps[:, None] + hits[None, :]).ravel())
-    return DefiningSet(tower, a_index, a, tuple(int(s) for s in elements))
+    reps = np.arange(tower.norm_exp, dtype=np.int64) * (q ** f - 1)
+    return DefiningSet(tower, a_index, a,
+                       np.sort((reps[:, None] + hits).ravel()))
 
 
 def codeword(ds: DefiningSet, b: Element) -> List[Element]:
@@ -97,33 +102,24 @@ def codeword(ds: DefiningSet, b: Element) -> List[Element]:
     if b is None:
         return [None] * len(ds)
     M = field.mult_order
-    return [field.trace((b + d) % M, m, e) for d in ds.elements]
+    return [field.trace((b + d) % M, m, e) for d in ds.elements.tolist()]
 
 
 def puncture(ds: DefiningSet) -> DefiningSet:
     """Keep the least alpha-exponent of each F_q^*-orbit in D.
 
-    Only the a = 0 defining sets are closed under F_q^* scaling; anything
-    else is refused.
+    alpha**step generates F_q^* and step divides q^k - 1, so the orbit
+    {s + i step mod (q^k - 1)} of s is every exponent congruent to s mod
+    step, and its least member is s mod step.  Only the a = 0 defining sets
+    are closed under F_q^* scaling; anything else is refused.
     """
     if ds.a_index != 0:
         raise ValueError("puncturing requires the a = 0 defining set")
     if ds.punctured:
         return ds
-    tower = ds.tower
-    field = tower.field()
-    M = field.mult_order
-    step = field.subfield_exp(tower.e)  # alpha**step generates F_q^*
-    q = tower.q
-    seen = set()
-    reps = []
-    for s in ds.elements:
-        orbit = min((s + i * step) % M for i in range(q - 1))
-        if orbit not in seen:
-            seen.add(orbit)
-            reps.append(orbit)
-    return DefiningSet(tower, ds.a_index, ds.a, tuple(sorted(reps)),
-                       punctured=True)
+    step = ds.tower.field().subfield_exp(ds.tower.e)
+    return DefiningSet(ds.tower, ds.a_index, ds.a,
+                       np.unique(ds.elements % step), punctured=True)
 
 
 class WeightDistribution:
@@ -185,7 +181,7 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
     q = tower.q
     Mf = q ** tower.f - 1
     step = field.subfield_exp(tower.e)  # alpha**step generates F_q^*
-    D = np.array(ds.elements, dtype=np.int64)
+    D = ds.elements
     if ds.punctured:
         D = (D[:, None] + step * np.arange(q - 1)).ravel()
     full = np.unique(D % M)
@@ -229,7 +225,6 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
 
 
 def brute_weight_distribution(ds: DefiningSet, workers: int = 1,
-                              budget: int = 1 << 22,
                               zeros: Optional[np.ndarray] = None
                               ) -> WeightDistribution:
     """Exact distribution over all q^k codewords.
@@ -240,10 +235,6 @@ def brute_weight_distribution(ds: DefiningSet, workers: int = 1,
     precomputed zero_trace_counts array may be passed in.
     """
     tower = ds.tower
-    field = tower.field()
-    size = field.p ** field.m
-    if size > budget:
-        raise ValueError(f"field size {size} exceeds budget {budget}")
     n = len(ds)
     if zeros is None:
         zeros = zero_trace_counts(ds, workers=workers)

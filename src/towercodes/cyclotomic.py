@@ -500,7 +500,7 @@ def monomial_char_sum(field: Field, tower, b: Element):
     if field.m != tower.m:
         raise ValueError("field does not match tower")
     M = field.mult_order
-    tr = field.abs_trace_residues().astype(np.int64)
+    tr = field.abs_trace_residues()
     u = np.arange(M, dtype=np.int64)
     idx = (b + u * (q ** f - 1)) % M
     hist = np.bincount(tr[idx], minlength=p)

@@ -24,6 +24,12 @@ the constant coefficient.  The relative trace table of a subfield sums the
 coefficient rows of the Frobenius conjugates; the trace-zero indicator
 follows from the absolute trace table by linearity.  Both are cached per
 field and degree.
+
+Every table is a read-only int64 numpy array, and -1 stands for the zero
+element wherever a table holds exponents (log, Zech and trace tables).  The
+scalar methods read single entries with ``.item()``, so the elements they
+return are plain Python ``int`` or ``None``.  One size budget,
+MAX_FIELD_ORDER, bounds every field and is checked before any table work.
 """
 
 from __future__ import annotations
@@ -40,7 +46,9 @@ ZERO: Optional[int] = None
 
 Element = Optional[int]
 
-DEFAULT_MAX_ORDER = 2 ** 20
+# The one size budget: the largest field, p^m elements, that is built.
+# Every table, enumeration and sweep in the package is bounded by it.
+MAX_FIELD_ORDER = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -118,16 +126,15 @@ def _encode(rows: np.ndarray, p: int) -> np.ndarray:
 class Field:
     """F_{p^m} with exp/log and Zech addition tables."""
 
-    def __init__(self, p: int, m: int, max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if m < 1:
             raise ValueError(f"extension degree must be positive, got {m}")
         order = p ** m
-        if order > max_order:
-            raise ValueError(
-                f"field size {p}^{m} = {order} exceeds budget {max_order}"
-            )
+        if order > MAX_FIELD_ORDER:
+            raise ValueError(f"field size {p}^{m} = {order} exceeds budget "
+                             f"{MAX_FIELD_ORDER}")
         self.p = p
         self.m = m
         self.order = order
@@ -136,7 +143,7 @@ class Field:
         self._build_tables()
         self._abs_trace = None
         self._zero_indicator: Dict[int, np.ndarray] = {}
-        self._subtables: Dict[Tuple[int, int], Tuple[Element, ...]] = {}
+        self._subtables: Dict[Tuple[int, int], np.ndarray] = {}
 
     # -- construction -------------------------------------------------
 
@@ -187,18 +194,18 @@ class Field:
         if not np.array_equal(V[M - 1].astype(np.int64) @ C % p,
                               np.eye(1, m, dtype=np.int64)[0]):
             raise RuntimeError("alpha cycle does not close at order p^m - 1")
-        V.flags.writeable = False
-        self._coeffs = V
-        self._dlog = dlog.tolist()
         # Zech table: 1 + alpha^t adds 1 to the constant coefficient, p - 1
-        # wrapping to 0; the one t with alpha^t = -1 gives zero, stored as
-        # None.  The object-array gather shares _dlog's int objects.
+        # wrapping to 0; the one t with alpha^t = -1 reaches encoding 0,
+        # where dlog holds -1 for zero
         enc1 = enc + 1
         enc1[V[:, 0] == p - 1] -= p
-        zech: List[Element] = np.array(self._dlog, dtype=object)[enc1].tolist()
-        zech[int(np.flatnonzero(enc1 == 0)[0])] = None
+        zech = dlog[enc1]
+        for table in (V, enc, dlog, zech):
+            table.flags.writeable = False
+        self._coeffs = V
+        self.alpha_powers = enc
+        self._dlog = dlog
         self.zech = zech
-        self.alpha_powers = enc.tolist()
 
     # -- element encodings --------------------------------------------
 
@@ -218,7 +225,7 @@ class Field:
 
     def vector(self, x: Element):
         """Coefficient tuple of x over F_p, low degree first."""
-        enc = 0 if x is None else self.alpha_powers[x]
+        enc = 0 if x is None else self.alpha_powers.item(x)
         out = []
         for _ in range(self.m):
             out.append(enc % self.p)
@@ -233,7 +240,7 @@ class Field:
             enc = enc * self.p + c % self.p
         if enc == 0:
             return None
-        t = self._dlog[enc]
+        t = self._dlog.item(enc)
         if t == -1:
             raise ValueError("encoding out of range")
         return t
@@ -254,8 +261,8 @@ class Field:
             return x
         if x > y:
             x, y = y, x
-        z = self.zech[y - x]
-        if z is None:
+        z = self.zech.item(y - x)
+        if z < 0:
             return None
         r = x + z
         M = self.mult_order
@@ -346,13 +353,13 @@ class Field:
             return 0
         if not self.in_subfield(x, 1):
             raise ValueError("element not in the prime subfield")
-        return self.alpha_powers[x] % self.p
+        return self.alpha_powers.item(x) % self.p
 
     def element_from_residue(self, c: int) -> Element:
         c %= self.p
         if c == 0:
             return None
-        t = self._dlog[c]
+        t = self._dlog.item(c)
         if t == -1:
             raise RuntimeError("residue lookup failed")
         return t
@@ -376,11 +383,10 @@ class Field:
 
     # -- bulk tables for enumeration kernels ----------------------------
 
-    def trace_exp_subtable(self, from_deg: int, to_deg: int
-                           ) -> Tuple[Element, ...]:
-        """Tuple of length p^from_deg - 1: entry i is the trace (as an
-        Element) of g**i where g generates F_{p^from_deg}^*.  Cached per
-        degree pair.
+    def trace_exp_subtable(self, from_deg: int, to_deg: int) -> np.ndarray:
+        """Read-only int64 array of length p^from_deg - 1: entry i is the
+        exponent of the trace of g**i, -1 where it is zero, with g
+        generating F_{p^from_deg}^*.  Cached per degree pair.
 
         The trace of alpha^u is the sum of the coefficient rows of its
         conjugates alpha^(u s^j), s = p^to_deg, mapped back through dlog.
@@ -397,8 +403,8 @@ class Field:
             for _ in range(terms):
                 rows += self._coeffs[u]
                 u = u * p ** to_deg % M
-            logs = map(self._dlog.__getitem__, _encode(rows % p, p).tolist())
-            tab = tuple(None if t < 0 else t for t in logs)
+            tab = self._dlog[_encode(rows % p, p)]
+            tab.flags.writeable = False
             self._subtables[(from_deg, to_deg)] = tab
         return tab
 
@@ -425,7 +431,8 @@ class Field:
         return ind
 
     def abs_trace_residues(self) -> np.ndarray:
-        """int64 array over exponents u: Tr_{p^m/p}(alpha^u) as a residue."""
+        """Read-only int64 array over exponents u: Tr_{p^m/p}(alpha^u) as a
+        residue."""
         if self._abs_trace is not None:
             return self._abs_trace
         p, m, M = self.p, self.m, self.mult_order
@@ -434,21 +441,19 @@ class Field:
             # Tr is F_p-linear: weight coefficient i by Tr(alpha^i)
             tr_i = self.residue(self.trace(i % M, m, 1))
             total += self._coeffs[:, i].astype(np.int64) * tr_i
-        self._abs_trace = total % p
-        return self._abs_trace
+        total %= p
+        total.flags.writeable = False
+        self._abs_trace = total
+        return total
 
     def __repr__(self):
         return f"Field({self.p}, {self.m})"
 
 
 @lru_cache(maxsize=None)
-def _field_cache(p: int, m: int, max_order: int) -> Field:
-    return Field(p, m, max_order=max_order)
-
-
-def get_field(p: int, m: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:
-    """Shared field-table cache; tables are immutable by convention."""
-    return _field_cache(p, m, max_order)
+def get_field(p: int, m: int) -> Field:
+    """Shared field-table cache; every table is read-only."""
+    return Field(p, m)
 
 
 @dataclass(frozen=True)
@@ -482,8 +487,8 @@ class TowerSpec:
         # exponent of the norm map from F_{q^k} onto F_{q^f}
         return (self.q ** self.k - 1) // (self.q ** self.f - 1)
 
-    def field(self, max_order: int = DEFAULT_MAX_ORDER) -> Field:
-        return get_field(self.p, self.m, max_order)
+    def field(self) -> Field:
+        return get_field(self.p, self.m)
 
     def gcd_condition(self) -> bool:
         """gcd(k/f, q-1) == 1, required by the nonzero-a closed forms."""

@@ -109,11 +109,12 @@ def coset_of(tower: TowerSpec, b: Element) -> int:
 
 
 def _check_formula(tower: TowerSpec, a_index: int) -> None:
+    """Where the closed forms apply; every closed form asks this."""
     if a_index == 0:
         if not tower.k > tower.f > 1:
-            raise ValueError("the a = 0 weight formula needs k > f > 1")
+            raise ValueError("a = 0 closed forms need k > f > 1")
     elif not tower.gcd_condition():
-        raise ValueError("closed form needs gcd(k/f, q-1) = 1")
+        raise ValueError("nonzero-a closed forms need gcd(k/f, q-1) = 1")
 
 
 def _weight_from_sum(tower: TowerSpec, a_index: int, T: int) -> int:
@@ -184,37 +185,11 @@ def code_length(tower: TowerSpec, a_index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _chi1_residues(field: Field, ef: int) -> np.ndarray:
-    """Tr_{p^ef/p}(g^i) as residues, g generating F_{p^ef}^*, from the
-    element-wise subfield trace table (independent of gauss_sum)."""
-    return np.array([0 if t is None else field.residue(t)
-                     for t in field.trace_exp_subtable(ef, 1)],
-                    dtype=np.int64)
-
-
 def delta_direct(field: Field, tower: TowerSpec, b: Element) -> int:
     """Delta(b) by literal triple summation (oracle for the closed form):
     the sum over z, y in F_q^* and x in F_{q^k} of
     chi_1(y x^((q^k-1)/(q^f-1))) chi_2(z b x), in Z[zeta_p]."""
-    p = field.p
-    q = tower.q
-    M = field.mult_order
-    tr_top = field.abs_trace_residues()
-    # chi_1 over F_{q^f}, tabulated against the subfield generator g:
-    # x = alpha^u gives x^L = g^u, and y = alpha^(i ystep) is g^(iN)
-    sub_res = _chi1_residues(field, tower.e * tower.f)
-    qf1 = q ** tower.f - 1
-    N = qf1 // (q - 1)
-    ystep = field.subfield_exp(tower.e)
-    coeffs = np.zeros(p, dtype=np.int64)
-    coeffs[0] += (q - 1) ** 2  # x = 0 terms
-    u = np.arange(M, dtype=np.int64)
-    for z in range(q - 1):
-        chi2 = tr_top[(b + z * ystep + u) % M]
-        for i in range(q - 1):
-            chi1 = sub_res[(i * N + u) % qf1]
-            coeffs += np.bincount((chi1 + chi2) % p, minlength=p)
-    return CycloInt(p, coeffs.tolist()).as_int()
+    return _triple_sum(field, tower, b, 0)
 
 
 def lambda_direct(field: Field, tower: TowerSpec, b: Element,
@@ -222,12 +197,25 @@ def lambda_direct(field: Field, tower: TowerSpec, b: Element,
     """Lambda(b) by literal triple summation with the chi(a y) twist."""
     if a_index <= 0:
         raise ValueError("the shifted sum needs a nonzero a")
+    return _triple_sum(field, tower, b, a_index)
+
+
+def _triple_sum(field: Field, tower: TowerSpec, b: Element,
+                a_index: int) -> int:
+    """The sum over y, z in F_q^* and x in F_{q^k} of chi(a y)
+    chi_1(y x^((q^k-1)/(q^f-1))) chi_2(z b x): Delta(b) at a = 0, where
+    chi(a y) = 1, and Lambda(b) otherwise."""
     p = field.p
     q = tower.q
     M = field.mult_order
     a = field.subfield_element_from_index(a_index, tower.e)
     tr_top = field.abs_trace_residues()
-    sub_res = _chi1_residues(field, tower.e * tower.f)
+    # chi_1 over F_{q^f}, tabulated against the subfield generator g:
+    # x = alpha^u gives x^L = g^u, and y = alpha^(i ystep) is g^(iN).
+    # Tr_{q^f/p}(g^i) comes from the subfield trace table, independent of
+    # gauss_sum; it lies in F_p, whose element c is encoded as c itself.
+    sub = field.trace_exp_subtable(tower.e * tower.f, 1)
+    sub_res = np.where(sub < 0, 0, field.alpha_powers[sub])
     qf1 = q ** tower.f - 1
     N = qf1 // (q - 1)
     ystep = field.subfield_exp(tower.e)
@@ -276,8 +264,7 @@ def lambda_grouped(ds: DefiningSet, zeros: Optional[np.ndarray] = None
 
 def delta_closed(tower: TowerSpec, b: Element) -> int:
     """Closed form of Delta: q^f (q-1)^2 (1 + sgn T_c) / (q^f - 1)."""
-    if not tower.k > tower.f > 1:
-        raise ValueError("closed form needs k > f > 1")
+    _check_formula(tower, 0)
     q, f = tower.q, tower.f
     T = coset_sums(tower)[coset_of(tower, b)]
     return _exact_div(q ** f * (q - 1) ** 2 * (1 + _sign(tower) * T),
@@ -287,8 +274,7 @@ def delta_closed(tower: TowerSpec, b: Element) -> int:
 def lambda_closed(tower: TowerSpec, b: Element) -> int:
     """Closed form of Lambda: -q^f (q-1) (1 + sgn T_c) / (q^f - 1);
     collapses to the constant -q when f = 1."""
-    if not tower.gcd_condition():
-        raise ValueError("closed form needs gcd(k/f, q-1) = 1")
+    _check_formula(tower, 1)
     q, f = tower.q, tower.f
     T = coset_sums(tower)[coset_of(tower, b)]
     return _exact_div(-(q ** f) * (q - 1) * (1 + _sign(tower) * T),
@@ -301,7 +287,7 @@ def count_both_conditions(tower: TowerSpec, a_index: int, b: Element) -> int:
     M = field.mult_order
     ef = tower.e * tower.f
     a = field.subfield_element_from_index(a_index, tower.e)
-    target = field.neg(a)
+    target = -1 if a is None else field.neg(a)  # -1: the tables' zero
     sub = field.trace_exp_subtable(ef, tower.e)
     z = field.trace_zero_indicator(tower.e)
     qf1 = tower.q ** tower.f - 1
@@ -444,9 +430,8 @@ def walsh_spectrum(field: Field, f: int) -> np.ndarray:
     if k % f:
         raise ValueError(f"f={f} must divide k={k}")
     M = field.mult_order
-    sub = field.trace_exp_subtable(f, 1)
-    g = np.array([0 if sub[s % (2 ** f - 1)] is None else 1
-                  for s in range(M)], dtype=np.int64)
+    # g(alpha^s) = 1 where the trace of g^(s mod 2^f - 1) is nonzero
+    g = np.tile(field.trace_exp_subtable(f, 1) >= 0, M // (2 ** f - 1))
     u = 1 - 2 * g
     v = 2 * field.trace_zero_indicator(1).astype(np.int64) - 1
     corr = np.convolve(u[::-1], np.concatenate([v, v]))[M - 1:2 * M - 1]
@@ -564,19 +549,16 @@ class TheoryReport:
         self.bound = self._bound()
 
     def _applicability(self) -> Tuple[bool, str]:
-        t = self.tower
-        if self.a_index == 0:
-            if not t.k > t.f > 1:
-                return False, "a = 0 closed forms need k > f > 1"
-            return True, ""
-        if not t.gcd_condition():
-            return False, "nonzero-a closed forms need gcd(k/f, q-1) = 1"
+        try:
+            _check_formula(self.tower, self.a_index)
+        except ValueError as exc:
+            return False, str(exc)
         return True, ""
 
     def _bound(self) -> Optional[int]:
         t = self.tower
         if self.a_index == 0:
-            if not t.k > t.f > 1:
+            if not self.applicable:
                 return None
             if self.punctured:
                 return dmin_bound_zero_shift_punctured(t.q, t.f, t.k)
@@ -604,10 +586,7 @@ class TheoryReport:
 
 
 def dmin_bound_zero_shift_punctured(q: int, f: int, k: int) -> int:
-    """The punctured companion bound: (q^f-q)(q^(k-2)-q^((k+f-4)/2))/(q^f-1)."""
-    den = q ** f - 1
-    lead = q ** f - q
-    if (k + f) % 2 == 0:
-        return lead * (q ** (k - 2) - q ** ((k + f - 4) // 2)) // den
-    return _floor_sub_sqrt(lead * q ** (k - 2),
-                           lead * q ** ((k + f - 5) // 2), q, den)
+    """The punctured companion bound: (q^f-q)(q^(k-2)-q^((k+f-4)/2))/(q^f-1),
+    floored.  It is the full bound over q - 1, and floor(floor(z)/c) =
+    floor(z/c) for a positive integer c, so flooring twice is exact."""
+    return dmin_bound_zero_shift(q, f, k) // (q - 1)

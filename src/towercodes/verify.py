@@ -374,8 +374,7 @@ def _grid_zero_shift(tower: TowerSpec, workers: int, tallies, literal: bool):
     # directly over the punctured elements, with no orbit expansion
     z = tower.field().trace_zero_indicator(tower.e)
     M = z.size
-    Dp = np.array(pds.elements, dtype=np.int64)
-    recount = all(int(pzeros[s]) == int(z[(s + Dp) % M].sum())
+    recount = all(int(pzeros[s]) == int(z[(s + pds.elements) % M].sum())
                   for s in {0, 1, M // 3, M - 1})
     same = pbrute == WeightDistribution(len(pds), brute.dim, shrunk, q)
     tallies["scaling"].record(same and recount, label + " punctured")

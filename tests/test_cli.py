@@ -203,3 +203,20 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["modulus"] == [2, 1, 1]
+
+
+def test_search_budget_over_field_budget_exits_2_before_work(capsys,
+                                                             monkeypatch):
+    from towercodes import field
+    built = []
+    init = field.Field.__init__
+
+    def counting_init(self, p, m):
+        built.append((p, m))
+        init(self, p, m)
+
+    monkeypatch.setattr(field.Field, "__init__", counting_init)
+    code, out, err = run(capsys, "search", "--budget", "2097152")
+    assert code == 2 and out == ""
+    assert err == "error: --budget 2097152 exceeds the field budget 1048576\n"
+    assert built == []

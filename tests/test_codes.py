@@ -127,8 +127,41 @@ def test_puncture_binary_is_identity_set():
     tower = TowerSpec(2, 1, 2, 4)
     full = build_defining_set(tower, 0)
     small = puncture(full)
-    assert small.elements == full.elements
+    assert np.array_equal(small.elements, full.elements)
     assert small.punctured and not full.punctured
+
+
+def _orbit_min_puncture(ds):
+    # the least exponent of each F_q^*-orbit, one element at a time
+    field = ds.tower.field()
+    M = field.mult_order
+    step = field.subfield_exp(ds.tower.e)
+    reps = {min((s + i * step) % M for i in range(ds.tower.q - 1))
+            for s in ds.elements.tolist()}
+    return sorted(reps)
+
+
+@pytest.mark.parametrize("tower", [t for t in grid_towers(1 << 12)
+                                   if t.f > 1],
+                         ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_puncture_matches_orbit_min_loop(tower):
+    full = build_defining_set(tower, 0)
+    small = puncture(full)
+    assert small.elements.dtype == np.int64
+    assert small.elements.tolist() == _orbit_min_puncture(full)
+
+
+def test_tables_are_read_only():
+    tower = TowerSpec(2, 2, 2, 4)
+    field = tower.field()
+    full = build_defining_set(tower, 0)
+    tables = [field.alpha_powers, field._dlog, field.zech, field._coeffs,
+              field.trace_exp_subtable(4, 2), field.abs_trace_residues(),
+              field.trace_zero_indicator(2), full.elements,
+              puncture(full).elements]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
 
 
 def test_puncture_requires_zero_shift():
@@ -254,7 +287,8 @@ def test_grid_punctured_recount_catches_rotated_counts(monkeypatch):
 
 def test_non_coset_defining_set_raises():
     ds = build_defining_set(TowerSpec(2, 1, 2, 4), 1)
-    for elements in (ds.elements[1:], ds.elements[:1] * 2 + ds.elements[1:]):
+    for elements in (ds.elements[1:],
+                     np.concatenate([ds.elements[:1], ds.elements])):
         bad = DefiningSet(ds.tower, ds.a_index, ds.a, elements)
         with pytest.raises(ValueError, match="norm-kernel cosets"):
             zero_trace_counts(bad)
@@ -262,8 +296,9 @@ def test_non_coset_defining_set_raises():
     full = build_defining_set(TowerSpec(2, 2, 2, 4), 0)
     step = full.tower.field().subfield_exp(full.tower.e)
     reps = puncture(full).elements
-    bad = DefiningSet(full.tower, 0, full.a, (reps[0], reps[0] + step)
-                      + reps[2:], punctured=True)
+    bad = DefiningSet(full.tower, 0, full.a,
+                      np.concatenate([reps[:1], reps[:1] + step, reps[2:]]),
+                      punctured=True)
     with pytest.raises(ValueError, match="norm-kernel cosets"):
         zero_trace_counts(bad)
 
@@ -277,9 +312,11 @@ def test_pless_moment_guard():
 
 
 def test_budget_guard():
-    ds = build_defining_set(TowerSpec(3, 1, 2, 8), 1)
-    with pytest.raises(ValueError, match="budget"):
-        brute_weight_distribution(ds, budget=1 << 10)
+    # the field budget refuses the top field before the set is scanned
+    with pytest.raises(ValueError, match="exceeds budget"):
+        build_defining_set(TowerSpec(2, 1, 1, 21), 1)
+    with pytest.raises(ValueError, match="exceeds budget"):
+        build_defining_set(TowerSpec(3, 1, 2, 14), 0)
 
 
 def test_precomputed_zeros_short_circuit():

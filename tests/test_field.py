@@ -1,8 +1,10 @@
 """Field table construction, arithmetic, traces, norms, subfield maps."""
 
+import numpy as np
 import pytest
 
-from towercodes.field import Field, TowerSpec, factorize, get_field, is_prime
+from towercodes.field import (MAX_FIELD_ORDER, Field, TowerSpec, factorize,
+                              get_field, is_prime)
 
 
 # Reproducible moduli: smallest primitive polynomial in lex coefficient
@@ -133,12 +135,17 @@ def test_tables_match_literal_lfsr(p, m):
     F = Field(p, m)
     assert F.modulus == literal_modulus(p, m)
     powers, dlog, zech = literal_tables(p, m, F.modulus)
-    assert F.alpha_powers == powers
-    assert F._dlog == dlog
-    assert F.zech == zech
-    # plain Python ints, so no numpy scalar reaches an Element
-    assert {type(v) for v in F.alpha_powers + F._dlog} == {int}
-    assert {type(v) for v in F.zech} <= {int, type(None)}
+    assert F.alpha_powers.tolist() == powers
+    assert F._dlog.tolist() == dlog
+    # the tables hold -1 for the zero element
+    assert F.zech.tolist() == [-1 if z is None else z for z in zech]
+    for table in (F.alpha_powers, F._dlog, F.zech):
+        assert table.dtype == np.int64 and not table.flags.writeable
+    # the scalar methods read entries as plain Python ints, so no numpy
+    # scalar reaches an Element
+    sums = {F.add(x, y) for x in F.elements() for y in (None, 0, x)}
+    vectors = {F.from_vector(F.vector(x)) for x in F.elements()}
+    assert {type(v) for v in sums | vectors} <= {int, type(None)}
 
 
 def test_table_build_rejects_bad_moduli(monkeypatch):
@@ -161,13 +168,14 @@ def test_trace_tables_match_scalar_trace(p, m):
         step = F.subfield_exp(hi)
         for lo in (d for d in degrees if hi % d == 0):
             tab = F.trace_exp_subtable(hi, lo)
-            assert tab == tuple(F.trace(i * step, hi, lo)
-                                for i in range(p ** hi - 1))
-            assert {type(v) for v in tab} <= {int, type(None)}
+            assert tab.tolist() == [-1 if t is None else t for t in
+                                    (F.trace(i * step, hi, lo)
+                                     for i in range(p ** hi - 1))]
+            assert tab.dtype == np.int64 and not tab.flags.writeable
             assert F.trace_exp_subtable(hi, lo) is tab
     for d in degrees:
         ind = F.trace_zero_indicator(d)
-        want = [1 if t is None else 0 for t in F.trace_exp_subtable(m, d)]
+        want = [1 if t < 0 else 0 for t in F.trace_exp_subtable(m, d)]
         assert ind.tolist() == want
 
 
@@ -314,13 +322,16 @@ def test_trace_exp_subtable_matches_direct():
     for d in (1, 2, 3):
         tab = F.trace_exp_subtable(6, d)
         assert len(tab) == 63
-        for i, e in enumerate(tab):
-            assert e == F.trace(i, 6, d)
+        for i, e in enumerate(tab.tolist()):
+            t = F.trace(i, 6, d)
+            assert e == (-1 if t is None else t)
+        assert F.trace_exp_subtable(6, d) is tab and not tab.flags.writeable
     # relative version from an intermediate level
     sub = F.trace_exp_subtable(2, 1)
     step = F.subfield_exp(2)
-    for i, e in enumerate(sub):
-        assert e == F.trace(i * step, 2, 1)
+    for i, e in enumerate(sub.tolist()):
+        t = F.trace(i * step, 2, 1)
+        assert e == (-1 if t is None else t)
 
 
 def test_trace_zero_indicator_kernel_size():
@@ -350,11 +361,13 @@ def test_constructor_validation():
         Field(4, 2)
     with pytest.raises(ValueError):
         Field(2, 0)
-    with pytest.raises(ValueError):
-        Field(2, 30)  # over the default size budget
-    Field(2, 10, max_order=2 ** 10)
-    with pytest.raises(ValueError):
-        Field(2, 11, max_order=2 ** 10)
+    # the one size budget: 2^20 builds, 2^21 is refused before any work
+    assert MAX_FIELD_ORDER == 2 ** 20
+    assert Field(2, 20).order == MAX_FIELD_ORDER
+    with pytest.raises(ValueError, match="budget"):
+        Field(2, 21)
+    with pytest.raises(ValueError, match="budget"):
+        Field(2, 30)
 
 
 def test_get_field_is_cached():

@@ -10,6 +10,7 @@ from towercodes.cyclotomic import CycloInt, MultChar, gauss_sum
 from towercodes.field import TowerSpec, get_field
 from towercodes.theory import (
     TheoryReport,
+    _floor_sub_sqrt,
     code_length,
     coset_of,
     coset_sums,
@@ -339,6 +340,24 @@ def test_distance_bounds_frozen():
     assert dmin_bound_nonzero_shift(2, 3, 9) == 132
 
 
+def _old_punctured_bound(q, f, k):
+    # the punctured bound's own expression, floored in one step
+    den = q ** f - 1
+    lead = q ** f - q
+    if (k + f) % 2 == 0:
+        return lead * (q ** (k - 2) - q ** ((k + f - 4) // 2)) // den
+    return _floor_sub_sqrt(lead * q ** (k - 2),
+                           lead * q ** ((k + f - 5) // 2), q, den)
+
+
+def test_punctured_bound_is_full_bound_over_q_minus_1():
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32):
+        for f in range(2, 10):
+            for k in range(f + 1, 40):
+                assert dmin_bound_zero_shift_punctured(q, f, k) == \
+                    _old_punctured_bound(q, f, k), (q, f, k)
+
+
 def test_bounds_hold_on_goldens():
     assert 36 >= dmin_bound_zero_shift(4, 2, 4)
     assert 108 >= dmin_bound_zero_shift(3, 2, 6)
@@ -407,6 +426,33 @@ def test_report_not_applicable():
     assert rep.matches(brute) is None
     rep = TheoryReport(TowerSpec(5, 1, 2, 4), 1)
     assert not rep.applicable and "gcd" in rep.reason
+
+
+def test_closed_forms_share_one_applicability_rule():
+    # every closed form refuses exactly where the report says it does not
+    # apply, with the report's reason as its message
+    for spec in [(2, 1, 2, 4), (2, 1, 1, 3), (2, 1, 2, 2), (3, 1, 1, 2),
+                 (5, 1, 2, 4), (3, 1, 2, 6)]:
+        tower = TowerSpec(*spec)
+        for a_index, closed in ((0, delta_closed), (0, weight_zero_shift),
+                                (1, lambda_closed), (1, weight_nonzero_shift),
+                                (1, predicted_distribution)):
+            rep = TheoryReport(tower, a_index)
+            assert (rep.reason == "") == rep.applicable
+            if a_index == 0:
+                assert (rep.bound is None) == (not rep.applicable)
+            # predicted_distribution takes the shift, the others b = alpha^0
+            arg = a_index if closed is predicted_distribution else 0
+            if rep.applicable:
+                closed(tower, arg)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    closed(tower, arg)
+                assert str(exc.value) == rep.reason
+    assert TheoryReport(TowerSpec(2, 1, 1, 3), 0).reason == \
+        "a = 0 closed forms need k > f > 1"
+    assert TheoryReport(TowerSpec(5, 1, 2, 4), 1).reason == \
+        "nonzero-a closed forms need gcd(k/f, q-1) = 1"
 
 
 def test_report_punctured():
