@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from .codes import brute_weight_distribution, build_defining_set, puncture
 from .cyclotomic import gauss_sum, MultChar
-from .field import MAX_FIELD_ORDER, TowerSpec, get_field
+from .field import MAX_FIELD_ORDER, TowerSpec, check_field_budget, get_field
 from .theory import TheoryReport
 from .verify import grid_towers, run_suite
 
@@ -102,6 +102,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_code(args) -> int:
+    check_field_budget(args.p, args.e * args.k)
     tower = TowerSpec(args.p, args.e, args.f, args.k)
     if not 0 <= args.a < tower.q:
         raise ValueError(f"a must be in [0, q) = [0, {tower.q})")

@@ -436,6 +436,16 @@ def gauss_sum(field: Field, j: int, deg: Optional[int] = None) -> CycloInt:
                                    minlength=n).tolist())
 
 
+def semiprimitive_exponent(p: int, N: int) -> Optional[int]:
+    """Least j >= 1 with p^j = -1 (mod N), or None if no power of p is."""
+    pj = 1
+    for j in range(1, N + 1):
+        pj = pj * p % N
+        if pj == N - 1:
+            return j
+    return None
+
+
 def gauss_sum_semiprimitive(p: int, N: int, gamma: int, s: int = 1) -> int:
     """Closed-form Gauss sum G(lambda^s, chi) over F_r, r = p^(2*j*gamma),
     for lambda of order N in the semi-primitive case (some power of p is
@@ -451,13 +461,7 @@ def gauss_sum_semiprimitive(p: int, N: int, gamma: int, s: int = 1) -> int:
         raise ValueError("gamma must be positive")
     if not 1 <= s <= N - 1:
         raise ValueError(f"power s={s} out of range for order {N}")
-    j = None
-    pj = 1
-    for cand in range(1, N + 1):
-        pj = pj * p % N
-        if pj == N - 1:
-            j = cand
-            break
+    j = semiprimitive_exponent(p, N)
     if j is None:
         raise ValueError(f"no power of {p} is -1 mod {N}: not semi-primitive")
     sqrt_r = p ** (j * gamma)

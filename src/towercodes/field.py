@@ -51,6 +51,16 @@ Element = Optional[int]
 MAX_FIELD_ORDER = 1 << 20
 
 
+def check_field_budget(p: int, m: int) -> None:
+    """Refuse F_{p^m} past the budget where p or 2^m alone exceeds it,
+    without testing p for primality; p^m is formed only while small."""
+    if m >= 1 and (p > MAX_FIELD_ORDER or
+                   (p >= 2 and m >= MAX_FIELD_ORDER.bit_length())):
+        small = p <= MAX_FIELD_ORDER and m <= 64
+        size = f"{p}^{m} = {p ** m}" if small else f"{p}^{m}"
+        raise ValueError(f"field size {size} exceeds budget {MAX_FIELD_ORDER}")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -127,6 +137,7 @@ class Field:
     """F_{p^m} with exp/log and Zech addition tables."""
 
     def __init__(self, p: int, m: int):
+        check_field_budget(p, m)
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if m < 1:

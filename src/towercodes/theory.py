@@ -14,15 +14,17 @@ formulas and both exponential sums are affine in it:
     a = 0:   w(c_b) = [(q-1) q^(k-2) (q^f-q) - sgn q^(f-2) (q-1)^2 T_c] / (q^f-1)
     a != 0:  w(c_b) = [(q-1) q^(f+k-2)      + sgn (q-1) q^(f-2) T_c] / (q^f-1)
 
-with sgn = (-1)^(k/f - 1).  Gauss sums are evaluated exactly (cyclotomic
-integers), so these hold for every f, not only the semi-primitive cases.
+with sgn = (-1)^(k/f - 1).  T_c is computed exactly, so these hold for
+every f, not only the semi-primitive cases.
 
-coset_sums forms each P_j = phi^j(-1) G(phi^j)^(k/f-1) once, lifts it
-into Z[x]/(x^n - 1) with n = pN, and stacks the N - 1 rows in one integer
-matrix.  Since zeta_N^(-jc) = zeta_n^(-jcp), multiplying by it rotates a
-row, so T_c is a gather-and-sum of rotated rows followed by one canonical
-reduction: O(N^2 pN) integer work plus N reductions, and no ring products
-beyond the powers of the Gauss sums.
+coset_sums forms no Gauss sum.  phi^j(-1) = 1, since -1 lies in F_q^*,
+where phi is trivial, and x = g^(c + Nt) splits each Gauss sum into
+G(phi^j) = sum_c eta_c zeta_N^(jc) over the integer Gaussian periods
+eta_c = q-1 if Tr_{q^f/q}(g^c) = 0, else -1.  By the convolution theorem
+T_c = N (eta^{*r})[c] - (-1)^r, r = k/f - 1, where eta^{*r} is the r-fold
+cyclic convolution over Z/N and (-1)^r = (sum_c eta_c)^r is the j = 0
+term: r products with the N x N circulant of eta, O(r N^2) integer work.
+The literal Gauss-sum products stay in the tests as its oracle.
 
 Direct-summation oracles are kept alongside: literal triple sums over
 (x, y, z) for small fields, and a grouped exact rearrangement through the
@@ -38,7 +40,7 @@ import numpy as np
 
 from .field import Element, Field, TowerSpec
 from .codes import DefiningSet, WeightDistribution, zero_trace_counts
-from .cyclotomic import CycloInt, MultChar, gauss_sum
+from .cyclotomic import CycloInt
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -55,39 +57,22 @@ def _exact_div(num: int, den: int) -> int:
 @lru_cache(maxsize=None)
 def coset_sums(tower: TowerSpec) -> Tuple[int, ...]:
     """T_c for c = 0 .. N-1, N = (q^f-1)/(q-1), as exact integers."""
-    field = tower.field()
-    q, f, k = tower.q, tower.f, tower.k
-    ef = tower.e * tower.f
-    N = (q ** f - 1) // (q - 1)
-    if N == 1:
-        return (0,)
-    kf = k // f
-    if kf == 1:
-        # the Gauss factor is an empty product and every character value
-        # at -1 is 1, leaving plain root-of-unity sums
-        return tuple(N - 1 if c == 0 else -1 for c in range(N))
-    # row j-1 holds P_j = psi_j(-1) G(psi_j)^(k/f-1), psi_j = phi^j, lifted
-    # from Z[zeta_{p o_j}] into Z[x]/(x^n - 1) with n = pN
-    p = field.p
-    n = p * N
-    rows = []
-    for j in range(1, N):
-        sign = MultChar(field, j * (q - 1), deg=ef).value_at_minus_one()
-        g = gauss_sum(field, j * (q - 1), deg=ef) ** (kf - 1)
-        row = [0] * n
-        row[::n // g.n] = [sign * c for c in g.coeffs]
-        rows.append(row)
-    bound = sum(abs(c) for row in rows for c in row)
-    P = np.array(rows, dtype=np.int64 if bound < 1 << 62 else object)
-    # zeta_N^(-jc) = zeta_n^(-jcp) rotates row j: T_c gathers entry
-    # (i + jcp) mod n of every row j and reduces the column sums
-    j = np.arange(1, N, dtype=np.int64)[:, None]
-    i = np.arange(n, dtype=np.int64)[None, :]
-    out = []
-    for c in range(N):
-        acc = P[j - 1, (i + j * c * p) % n].sum(axis=0)
-        out.append(CycloInt(n, acc.tolist()).as_int())
-    return tuple(out)
+    q, ef = tower.q, tower.e * tower.f
+    N = (q ** tower.f - 1) // (q - 1)
+    r = tower.k // tower.f - 1
+    # the Gaussian periods eta_c, c < N, of the embedded generator g
+    sub = tower.field().trace_exp_subtable(ef, tower.e)[:N]
+    eta = np.where(sub < 0, q - 1, -1)
+    exact = np.int64 if int(np.abs(eta).sum()) ** r < 1 << 62 else object
+    u = np.zeros(N, dtype=exact)
+    u[0] = 1
+    if r:
+        # circulant of eta: (A u)[c] = sum_i eta_i u[c - i]
+        idx = np.arange(N)
+        A = eta.astype(exact)[(idx[:, None] - idx[None, :]) % N]
+        for _ in range(r):
+            u = A @ u
+    return tuple(N * int(v) - _sign(tower) for v in u)
 
 
 def _sign(tower: TowerSpec) -> int:

@@ -18,7 +18,7 @@ from .codes import (DefiningSet, WeightDistribution, brute_weight_distribution,
 from .cyclotomic import (AddChar, CycloInt, MultChar, davenport_hasse_lift,
                          gauss_sum, gauss_sum_semiprimitive,
                          lifted_char_index, monomial_char_sum,
-                         unity_power_sums)
+                         semiprimitive_exponent, unity_power_sums)
 from .field import TowerSpec, get_field, is_prime
 from . import theory
 
@@ -208,12 +208,7 @@ def _check_semiprimitive(limit: int = 1 << 12) -> CheckResult:
         for N in range(3, limit):
             if N % p == 0:
                 continue
-            j, pj = None, 1
-            for cand in range(1, N + 1):
-                pj = pj * p % N
-                if pj == N - 1:
-                    j = cand
-                    break
+            j = semiprimitive_exponent(p, N)
             if j is None or p ** (2 * j) > limit:
                 continue
             gamma = 1

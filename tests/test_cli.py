@@ -220,3 +220,24 @@ def test_search_budget_over_field_budget_exits_2_before_work(capsys,
     assert code == 2 and out == ""
     assert err == "error: --budget 2097152 exceeds the field budget 1048576\n"
     assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("field", "--p", "2305843009213693951", "--e", "1", "--k", "1"),
+    ("code", "--p", "2305843009213693951", "--e", "1", "--f", "1",
+     "--k", "1"),
+    ("gauss", "--p", "2305843009213693951", "--e", "1", "--k", "1",
+     "--j", "1"),
+    ("field", "--p", "3", "--e", "1", "--k", "100000000"),
+    ("code", "--p", "3", "--e", "100000", "--f", "1", "--k", "1000",
+     "--a", "1"),
+    ("gauss", "--p", "3", "--e", "1", "--k", "100000000", "--j", "1"),
+], ids=[f"{cmd}-huge-{what}" for what in ("p", "m")
+        for cmd in ("field", "code", "gauss")])
+def test_huge_fields_exceed_budget_before_any_work(argv):
+    # a prime p near 2^61 or an exponent near 10^8 is refused without
+    # testing p for primality or forming p^m
+    proc = subprocess.run([sys.executable, "-m", "towercodes", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds budget" in proc.stderr

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from towercodes.field import (MAX_FIELD_ORDER, Field, TowerSpec, factorize,
-                              get_field, is_prime)
+from towercodes.field import (MAX_FIELD_ORDER, Field, TowerSpec,
+                              check_field_budget, factorize, get_field,
+                              is_prime)
 
 
 # Reproducible moduli: smallest primitive polynomial in lex coefficient
@@ -368,6 +369,18 @@ def test_constructor_validation():
         Field(2, 21)
     with pytest.raises(ValueError, match="budget"):
         Field(2, 30)
+
+
+def test_budget_guard_is_exact_at_its_thresholds():
+    # refuses only fields truly past the budget, read off p or m alone
+    check_field_budget(2, 20)
+    check_field_budget(MAX_FIELD_ORDER, 1)
+    check_field_budget(1, 10 ** 9)  # no field, but not over budget
+    with pytest.raises(ValueError, match=r"2\^21 = 2097152 exceeds budget"):
+        check_field_budget(2, 21)  # small enough to show, as Field does
+    for p, m in ((MAX_FIELD_ORDER + 1, 1), (2 ** 61 - 1, 1), (3, 10 ** 8)):
+        with pytest.raises(ValueError, match=rf"{p}\^{m} exceeds budget"):
+            check_field_budget(p, m)
 
 
 def test_get_field_is_cached():

@@ -149,7 +149,8 @@ def _literal_coset_sums(tower):
 
 
 def test_coset_sums_shortcut_matches_generic_loop():
-    # k = f evaluates T_c without Gauss sums; redo it the long way
+    # the edges of the convolution: k = f (no circulant product, r = 0)
+    # redone the long way, and N = 1 at f = 1
     tower = TowerSpec(3, 1, 2, 2)
     assert list(coset_sums(tower)) == _literal_coset_sums(tower)
     assert coset_sums(TowerSpec(2, 1, 1, 3)) == (0,)
@@ -160,6 +161,46 @@ def test_coset_sums_shortcut_matches_generic_loop():
     ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
 def test_coset_sums_match_literal_products(tower):
     assert list(coset_sums(tower)) == _literal_coset_sums(tower)
+
+
+_BRIDGE_TOWERS = [t for t in grid_towers(1 << 12) if t.k > t.f > 1] + [
+    TowerSpec(2, 1, 8, 16), TowerSpec(3, 1, 5, 10), TowerSpec(5, 1, 4, 8),
+    TowerSpec(2, 2, 4, 8), TowerSpec(2, 1, 9, 18), TowerSpec(2, 1, 10, 20)]
+
+
+@pytest.mark.parametrize("tower", _BRIDGE_TOWERS,
+                         ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_gauss_sums_are_transforms_of_gaussian_periods(tower):
+    # coset_sums rests on G(phi^j) = sum_c eta_c zeta_N^(jc), with
+    # eta_c = q-1 where Tr_{q^f/q}(g^c) = 0 and -1 otherwise; the periods
+    # come from the scalar trace, the Gauss sums by direct summation
+    field = tower.field()
+    q, ef = tower.q, tower.e * tower.f
+    N = (q ** tower.f - 1) // (q - 1)
+    step = field.subfield_exp(ef)
+    eta = [q - 1 if field.trace(c * step, ef, tower.e) is None else -1
+           for c in range(N)]
+    for j in range(1, N):
+        coeffs = [0] * N
+        for c, v in enumerate(eta):
+            coeffs[j * c % N] += v
+        assert gauss_sum(field, j * (q - 1), deg=ef) == CycloInt(N, coeffs)
+
+
+@pytest.mark.parametrize(
+    "tower", [t for t in grid_towers(1 << 16) if t.k > t.f > 1]
+    + [TowerSpec(2, 1, 9, 18), TowerSpec(2, 1, 10, 20)],
+    ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_coset_sums_identities_at_scale(tower):
+    # exact identities of every T vector, where the literal products are
+    # out of reach: the j = 0 transform vanishes, Parseval with
+    # |G|^2 = q^f, and T is constant on q-multiplication classes
+    q, f, k = tower.q, tower.f, tower.k
+    N = (q ** f - 1) // (q - 1)
+    T = coset_sums(tower)
+    assert sum(T) == 0
+    assert sum(t * t for t in T) == N * (N - 1) * q ** (k - f)
+    assert all(T[q * c % N] == T[c] for c in range(N))
 
 
 # -- per-codeword weights ------------------------------------------------------
