@@ -23,8 +23,19 @@ G(phi^j) = sum_c eta_c zeta_N^(jc) over the integer Gaussian periods
 eta_c = q-1 if Tr_{q^f/q}(g^c) = 0, else -1.  By the convolution theorem
 T_c = N (eta^{*r})[c] - (-1)^r, r = k/f - 1, where eta^{*r} is the r-fold
 cyclic convolution over Z/N and (-1)^r = (sum_c eta_c)^r is the j = 0
-term: r products with the N x N circulant of eta, O(r N^2) integer work.
-The literal Gauss-sum products stay in the tests as its oracle.
+term: r - 1 cyclic convolutions of length N, O(r N^2) integer work in
+O(N) memory.  The literal Gauss-sum products stay in the tests as its oracle.
+
+The predicted distributions need only the multiset of T_c, and that needs
+only F_{q^f}, never F_{q^k}: coset_sum_counts reads the periods of the
+middle field's own generator.  Tr(g^(c + Nt)) = g^(Nt) Tr(g^c) with g^(Nt)
+in F_q^*, so eta_c depends on c mod N only, and another generator
+g' = g^u, gcd(u, q^f - 1) = 1, has the periods eta'_c = eta_(uc mod N)
+with u prime to N.  Cyclic convolution commutes with the relabelling
+c -> uc, and the periods do not depend on how F_{q^f} is built, so the
+multiset of T is the same for every generator.  coset_sums keeps the
+generator embedded in F_{q^k}, whose index c = s mod N the per-codeword
+formulas need; it is the oracle for coset_sum_counts.
 
 Direct-summation oracles are kept alongside: literal triple sums over
 (x, y, z) for small fields, and a grouped exact rearrangement through the
@@ -38,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .field import Element, Field, TowerSpec
+from .field import Element, Field, TowerSpec, get_field
 from .codes import DefiningSet, WeightDistribution, zero_trace_counts
 from .cyclotomic import CycloInt
 
@@ -56,22 +67,42 @@ def _exact_div(num: int, den: int) -> int:
 
 @lru_cache(maxsize=None)
 def coset_sums(tower: TowerSpec) -> Tuple[int, ...]:
-    """T_c for c = 0 .. N-1, N = (q^f-1)/(q-1), as exact integers."""
-    q, ef = tower.q, tower.e * tower.f
+    """T_c for c = 0 .. N-1, N = (q^f-1)/(q-1), as exact integers, indexed
+    by the generator of F_{q^f} embedded in F_{q^k}: c_b, b = alpha^s,
+    reads T_(s mod N).  Builds the top field; the predicted distributions
+    need only coset_sum_counts."""
+    ef = tower.e * tower.f
+    return _convolved_periods(
+        tower, tower.field().trace_exp_subtable(ef, tower.e))
+
+
+@lru_cache(maxsize=None)
+def coset_sum_counts(tower: TowerSpec) -> Tuple[Tuple[int, int], ...]:
+    """The multiset of T_c as (T, number of cosets c) pairs, from the
+    periods of F_{q^f}'s own generator: no top field is built.  Distinct
+    T come in their first-seen order along that generator."""
+    ef = tower.e * tower.f
+    sub = get_field(tower.p, ef).trace_exp_subtable(ef, tower.e)
+    return tuple(Counter(_convolved_periods(tower, sub)).items())
+
+
+def _convolved_periods(tower: TowerSpec, sub: np.ndarray) -> Tuple[int, ...]:
+    """T_c = N (eta^{*r})[c] - (-1)^r for c < N, where sub[c] is the
+    exponent of Tr_{q^f/q}(g^c), -1 where it is zero."""
+    q = tower.q
     N = (q ** tower.f - 1) // (q - 1)
     r = tower.k // tower.f - 1
-    # the Gaussian periods eta_c, c < N, of the embedded generator g
-    sub = tower.field().trace_exp_subtable(ef, tower.e)[:N]
-    eta = np.where(sub < 0, q - 1, -1)
+    # the Gaussian periods eta_c, c < N, of the generator g
+    eta = np.where(sub[:N] < 0, q - 1, -1)
     exact = np.int64 if int(np.abs(eta).sum()) ** r < 1 << 62 else object
-    u = np.zeros(N, dtype=exact)
-    u[0] = 1
-    if r:
-        # circulant of eta: (A u)[c] = sum_i eta_i u[c - i]
-        idx = np.arange(N)
-        A = eta.astype(exact)[(idx[:, None] - idx[None, :]) % N]
-        for _ in range(r):
-            u = A @ u
+    eta = eta.astype(exact)
+    # eta^{*0} is the unit impulse at 0, eta^{*1} is eta itself
+    u = eta if r else (np.arange(N) == 0).astype(exact)
+    for _ in range(r - 1):
+        # cyclic convolution over Z/N: fold the linear one at N
+        full = np.convolve(eta, u)
+        u = full[:N].copy()
+        u[:N - 1] += full[N:]
     return tuple(N * int(v) - _sign(tower) for v in u)
 
 
@@ -136,6 +167,8 @@ def predicted_distribution(tower: TowerSpec, a_index: int,
     Covers every f: a_index = 0 needs k > f > 1, nonzero a_index needs
     gcd(k/f, q-1) = 1.  Each coset c contributes (q^k-1)/N words of the
     same weight, so each distinct T_c is weighed once, with its count.
+    The multiset of T_c does not depend on the generator of F_{q^f}, so
+    only F_{q^f} is built: the field budget bounds q^f, not q^k.
     """
     q, f, k = tower.q, tower.f, tower.k
     N = (q ** f - 1) // (q - 1)
@@ -148,8 +181,9 @@ def predicted_distribution(tower: TowerSpec, a_index: int,
     if punctured:
         n_code = _exact_div(n_code, q - 1)
     _check_formula(tower, a_index)
-    # first-seen order: a bad T raises where its first coset would
-    for T, cosets in Counter(coset_sums(tower)).items():
+    # first-seen order along F_{q^f}'s own generator: a bad T raises
+    # where its first coset would
+    for T, cosets in coset_sum_counts(tower):
         w = _weight_from_sum(tower, a_index, T)
         w = _exact_div(w, scale) if scale > 1 else w
         if w <= 0:

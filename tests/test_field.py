@@ -1,5 +1,8 @@
 """Field table construction, arithmetic, traces, norms, subfield maps."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -393,6 +396,47 @@ def test_primality_helpers():
     assert not is_prime(1)
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert factorize(1) == []
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _trial_division_is_prime(n)
+               for n in range(10 ** 5))
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729, 41041, 825265,  # Carmichael numbers
+    # the least strong pseudoprimes to the first 1, 2, ..., 9 prime bases
+    2047, 1373653, 25326001, 3215031751, 2152302898747,
+    3474749660383, 341550071728321, 3825123056546413051,
+])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_accepts_large_primes():
+    for n in (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59, 10 ** 18 + 9):
+        assert is_prime(n)
+    assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+
+
+def test_tower_spec_with_a_61_bit_prime_is_quick():
+    # trial division up to sqrt(2^61) would take hours
+    proc = subprocess.run(
+        [sys.executable, "-c", "from towercodes.field import TowerSpec; "
+         "print(TowerSpec(2 ** 61 - 1, 1, 1, 1).q)"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0 and proc.stdout == f"{2 ** 61 - 1}\n"
 
 
 # -- tower specs -------------------------------------------------------------

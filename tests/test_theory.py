@@ -1,18 +1,23 @@
 """Closed-form sums and distributions against direct-summation oracles."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from towercodes.codes import WeightDistribution, \
     brute_weight_distribution, build_defining_set, puncture, \
     zero_trace_counts
 from towercodes.cyclotomic import CycloInt, MultChar, gauss_sum
-from towercodes.field import TowerSpec, get_field
+from towercodes.field import Field, TowerSpec, get_field
 from towercodes.theory import (
     TheoryReport,
+    _convolved_periods,
     _floor_sub_sqrt,
     code_length,
     coset_of,
+    coset_sum_counts,
     coset_sums,
     count_both_conditions,
     delta_closed,
@@ -187,10 +192,12 @@ def test_gauss_sums_are_transforms_of_gaussian_periods(tower):
         assert gauss_sum(field, j * (q - 1), deg=ef) == CycloInt(N, coeffs)
 
 
-@pytest.mark.parametrize(
-    "tower", [t for t in grid_towers(1 << 16) if t.k > t.f > 1]
-    + [TowerSpec(2, 1, 9, 18), TowerSpec(2, 1, 10, 20)],
-    ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+_SCALE_TOWERS = [t for t in grid_towers(1 << 16) if t.k > t.f > 1] + [
+    TowerSpec(2, 1, 9, 18), TowerSpec(2, 1, 10, 20)]
+
+
+@pytest.mark.parametrize("tower", _SCALE_TOWERS,
+                         ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
 def test_coset_sums_identities_at_scale(tower):
     # exact identities of every T vector, where the literal products are
     # out of reach: the j = 0 transform vanishes, Parseval with
@@ -201,6 +208,80 @@ def test_coset_sums_identities_at_scale(tower):
     assert sum(T) == 0
     assert sum(t * t for t in T) == N * (N - 1) * q ** (k - f)
     assert all(T[q * c % N] == T[c] for c in range(N))
+
+
+@pytest.mark.parametrize("tower", _SCALE_TOWERS,
+                         ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_middle_field_multiset_matches_embedded_sums(tower):
+    # the two generators of F_{q^f}, the middle field's own and the one
+    # embedded in F_{q^k}, give the same multiset of T
+    assert dict(coset_sum_counts(tower)) == Counter(coset_sums(tower))
+
+
+_SMALL_TOWERS = [t for t in grid_towers(1 << 10) if t.k > t.f > 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower=st.sampled_from(_SMALL_TOWERS), seed=st.integers(0, 1 << 30))
+def test_multiset_is_generator_invariant(tower, seed):
+    # the periods of g' = g^u, for a unit u mod q^f - 1, read from the
+    # scalar trace, give the same multiset of T as g itself
+    q, ef = tower.q, tower.e * tower.f
+    field = get_field(tower.p, ef)
+    M = field.mult_order
+    units = [u for u in range(1, M) if np.gcd(u, M) == 1]
+    u = units[seed % len(units)]
+    N = M // (q - 1)
+    sub = np.array([-1 if field.trace(u * c % M, ef, tower.e) is None
+                    else 0 for c in range(N)])
+    assert Counter(_convolved_periods(tower, sub)) == \
+        dict(coset_sum_counts(tower))
+
+
+# past the field budget at q^k: (tower, a, punctured, family display)
+_PAST_BUDGET = [
+    (TowerSpec(2, 1, 3, 60), 1, False, dist_binary_cubic(60)),
+    (TowerSpec(2, 1, 2, 40), 0, False, dist_zero_shift_f2(2, 40)),
+    (TowerSpec(2, 1, 2, 40), 0, True, dist_zero_shift_f2_punctured(2, 40)),
+    (TowerSpec(3, 1, 2, 30), 0, False, dist_zero_shift_f2(3, 30)),
+    (TowerSpec(3, 1, 2, 30), 0, True, dist_zero_shift_f2_punctured(3, 30)),
+    (TowerSpec(2, 1, 2, 22), 1, False, dist_nonzero_shift(2, 2, 22)[0]),
+    # (sum |eta|)^r = 3^49 > 2^62: the convolution runs on Python ints
+    (TowerSpec(2, 1, 2, 100), 0, False, dist_zero_shift_f2(2, 100)),
+]
+
+
+@pytest.mark.parametrize(
+    "tower, a_index, punctured, family", _PAST_BUDGET,
+    ids=[f"{t.p}-{t.e}-{t.f}-{t.k}-a{a}{'-punct' if pu else ''}"
+         for t, a, pu, _ in _PAST_BUDGET])
+def test_predicted_past_the_top_field_budget(tower, a_index, punctured,
+                                             family, monkeypatch):
+    # the top field F_{q^k} is past the budget; only F_{q^f} may be built
+    built = []
+    init = Field.__init__
+
+    def counting_init(self, p, m):
+        built.append(p ** m)
+        init(self, p, m)
+
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    coset_sum_counts.cache_clear()
+    assert predicted_distribution(tower, a_index, punctured) == family
+    assert all(size <= tower.q ** tower.f for size in built)
+
+
+@pytest.mark.parametrize(
+    "tower", _SCALE_TOWERS + list(dict.fromkeys(t for t, *_ in _PAST_BUDGET)),
+    ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_middle_field_multiset_identities(tower):
+    # sum T = 0 and sum T^2 = N(N-1)q^(k-f), on the middle field's T
+    q, f, k = tower.q, tower.f, tower.k
+    N = (q ** f - 1) // (q - 1)
+    counts = coset_sum_counts(tower)
+    assert sum(n for _, n in counts) == N
+    assert sum(T * n for T, n in counts) == 0
+    assert sum(T * T * n for T, n in counts) == N * (N - 1) * q ** (k - f)
 
 
 # -- per-codeword weights ------------------------------------------------------
