@@ -52,13 +52,18 @@ MAX_FIELD_ORDER = 1 << 20
 
 
 def check_field_budget(p: int, m: int) -> None:
-    """Refuse F_{p^m} past the budget where p or 2^m alone exceeds it,
-    without testing p for primality; p^m is formed only while small."""
-    if m >= 1 and (p > MAX_FIELD_ORDER or
-                   (p >= 2 and m >= MAX_FIELD_ORDER.bit_length())):
-        small = p <= MAX_FIELD_ORDER and m <= 64
-        size = f"{p}^{m} = {p ** m}" if small else f"{p}^{m}"
-        raise ValueError(f"field size {size} exceeds budget {MAX_FIELD_ORDER}")
+    """Refuse F_{p^m} exactly when p^m exceeds the budget, without testing
+    p for primality.  p^m is formed only for 2 <= p <= budget and m <= 20,
+    where it is small; past either bound, p >= 2 and m >= 1 already
+    make it too large, and p < 2 or m < 1 is no field at all."""
+    if p < 2 or m < 1:
+        return
+    if (p <= MAX_FIELD_ORDER and m < MAX_FIELD_ORDER.bit_length()
+            and p ** m <= MAX_FIELD_ORDER):
+        return
+    small = p <= MAX_FIELD_ORDER and m <= 64
+    size = f"{p}^{m} = {p ** m}" if small else f"{p}^{m}"
+    raise ValueError(f"field size {size} exceeds budget {MAX_FIELD_ORDER}")
 
 
 # Strong-probable-prime tests to these twelve bases decide every
@@ -157,14 +162,10 @@ class Field:
             raise ValueError(f"p must be prime, got {p}")
         if m < 1:
             raise ValueError(f"extension degree must be positive, got {m}")
-        order = p ** m
-        if order > MAX_FIELD_ORDER:
-            raise ValueError(f"field size {p}^{m} = {order} exceeds budget "
-                             f"{MAX_FIELD_ORDER}")
         self.p = p
         self.m = m
-        self.order = order
-        self.mult_order = order - 1
+        self.order = p ** m
+        self.mult_order = self.order - 1
         self.modulus = self._find_modulus()
         self._build_tables()
         self._abs_trace = None

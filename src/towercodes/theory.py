@@ -8,8 +8,19 @@ The central quantity is the coset sum
 over the subfield F_{q^f}, where N = (q^f-1)/(q-1) and phi is the
 multiplicative character of order N with phi(g) = zeta_N for the fixed
 subfield generator g.  T_c is a rational integer (the Galois group fixes
-it), it depends on b = alpha^s only through c = s mod N, and both weight
-formulas and both exponential sums are affine in it:
+it) and depends on b = alpha^s only through c = s mod N.
+
+Every weight comes from one character sum, for a shift a in F_q,
+
+    S_a(b) = sum_{y,z in F_q^*} sum_{x in F_{q^k}}
+                 chi(a y) chi_1(y x^L) chi_2(z b x),   L = (q^k-1)/(q^f-1),
+
+the paper's Delta(b) at a = 0 and Lambda(b) otherwise.  It is affine in T_c,
+
+    S_a(b) = q^f (q-1) epsilon (1 + sgn T_c) / (q^f - 1),
+    epsilon = sum_{y in F_q^*} chi(a y) = q-1 at a = 0, -1 otherwise,
+
+and so are both weight formulas:
 
     a = 0:   w(c_b) = [(q-1) q^(k-2) (q^f-q) - sgn q^(f-2) (q-1)^2 T_c] / (q^f-1)
     a != 0:  w(c_b) = [(q-1) q^(f+k-2)      + sgn (q-1) q^(f-2) T_c] / (q^f-1)
@@ -37,9 +48,11 @@ multiset of T is the same for every generator.  coset_sums keeps the
 generator embedded in F_{q^k}, whose index c = s mod N the per-codeword
 formulas need; it is the oracle for coset_sum_counts.
 
-Direct-summation oracles are kept alongside: literal triple sums over
-(x, y, z) for small fields, and a grouped exact rearrangement through the
-zero-trace counts that scales to the full test grid.
+S_a(b) has one function per route, each taking the shift: exp_sum_direct,
+the literal triple sum over (x, y, z) for small fields; exp_sum_grouped,
+an exact rearrangement through the zero-trace counts that scales to the
+full test grid; and exp_sum_closed, the formula above.  The regime is read
+off a_index inside each.
 """
 
 from collections import Counter
@@ -146,17 +159,10 @@ def _weight_from_sum(tower: TowerSpec, a_index: int, T: int) -> int:
     return _exact_div(num, q ** f - 1)
 
 
-def weight_zero_shift(tower: TowerSpec, b: Element) -> int:
-    """Weight of c_b in the a = 0 code, from the coset sum."""
-    _check_formula(tower, 0)
-    return _weight_from_sum(tower, 0,
-                            coset_sums(tower)[coset_of(tower, b)])
-
-
-def weight_nonzero_shift(tower: TowerSpec, b: Element) -> int:
-    """Weight of c_b in the code of any nonzero shift a."""
-    _check_formula(tower, 1)
-    return _weight_from_sum(tower, 1,
+def weight_closed(tower: TowerSpec, a_index: int, b: Element) -> int:
+    """Weight of c_b in the code of shift a_index, from the coset sum."""
+    _check_formula(tower, a_index)
+    return _weight_from_sum(tower, a_index,
                             coset_sums(tower)[coset_of(tower, b)])
 
 
@@ -204,26 +210,18 @@ def code_length(tower: TowerSpec, a_index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def delta_direct(field: Field, tower: TowerSpec, b: Element) -> int:
-    """Delta(b) by literal triple summation (oracle for the closed form):
-    the sum over z, y in F_q^* and x in F_{q^k} of
-    chi_1(y x^((q^k-1)/(q^f-1))) chi_2(z b x), in Z[zeta_p]."""
-    return _triple_sum(field, tower, b, 0)
+def shift_char_sum(tower: TowerSpec, a_index: int) -> int:
+    """epsilon = sum_{y in F_q^*} chi(a y): q - 1 at a = 0, where
+    chi(a y) = 1, and -1 otherwise."""
+    return tower.q - 1 if a_index == 0 else -1
 
 
-def lambda_direct(field: Field, tower: TowerSpec, b: Element,
-                  a_index: int) -> int:
-    """Lambda(b) by literal triple summation with the chi(a y) twist."""
-    if a_index <= 0:
-        raise ValueError("the shifted sum needs a nonzero a")
-    return _triple_sum(field, tower, b, a_index)
-
-
-def _triple_sum(field: Field, tower: TowerSpec, b: Element,
-                a_index: int) -> int:
-    """The sum over y, z in F_q^* and x in F_{q^k} of chi(a y)
-    chi_1(y x^((q^k-1)/(q^f-1))) chi_2(z b x): Delta(b) at a = 0, where
-    chi(a y) = 1, and Lambda(b) otherwise."""
+def exp_sum_direct(field: Field, tower: TowerSpec, b: Element,
+                   a_index: int) -> int:
+    """S_a(b) by literal triple summation (oracle for the closed form):
+    the sum over y, z in F_q^* and x in F_{q^k} of chi(a y)
+    chi_1(y x^((q^k-1)/(q^f-1))) chi_2(z b x), in Z[zeta_p].  It is the
+    paper's Delta(b) at a = 0, where chi(a y) = 1, and Lambda(b) otherwise."""
     p = field.p
     q = tower.q
     M = field.mult_order
@@ -253,51 +251,32 @@ def _triple_sum(field: Field, tower: TowerSpec, b: Element,
     return CycloInt(p, coeffs.tolist()).as_int()
 
 
-def delta_grouped(ds: DefiningSet, zeros: Optional[np.ndarray] = None
-                  ) -> np.ndarray:
-    """Delta(alpha^s) for all s at once, via character orthogonality.
+def exp_sum_grouped(ds: DefiningSet, zeros: Optional[np.ndarray] = None
+                    ) -> np.ndarray:
+    """S_a(alpha^s) for all s at once, via character orthogonality, in the
+    regime of ds.a_index: Delta or Lambda.
 
-    Collapsing the y and z sums gives Delta(b) = q(q-1) + q^2 Z_b - q n,
-    where Z_b counts the zero trace coordinates of c_b; exact integers.
+    Collapsing the y and z sums gives S_a(b) = q^2 Z_b - q n + [a = 0]
+    q(q-1), where Z_b counts the zero trace coordinates of c_b; exact
+    integers.
     """
-    if ds.a_index != 0:
-        raise ValueError("Delta belongs to the a = 0 regime")
     q = ds.tower.q
     n = len(ds)
     if zeros is None:
         zeros = zero_trace_counts(ds)
-    return q * (q - 1) + q * q * zeros - q * n
+    return q * q * zeros - q * n + (q * (q - 1) if ds.a_index == 0 else 0)
 
 
-def lambda_grouped(ds: DefiningSet, zeros: Optional[np.ndarray] = None
-                   ) -> np.ndarray:
-    """Lambda(alpha^s) for all s at once: q^2 Z_b - q n, exact."""
-    if ds.a_index == 0:
-        raise ValueError("Lambda belongs to the nonzero-a regime")
-    q = ds.tower.q
-    n = len(ds)
-    if zeros is None:
-        zeros = zero_trace_counts(ds)
-    return q * q * zeros - q * n
-
-
-def delta_closed(tower: TowerSpec, b: Element) -> int:
-    """Closed form of Delta: q^f (q-1)^2 (1 + sgn T_c) / (q^f - 1)."""
-    _check_formula(tower, 0)
+def exp_sum_closed(tower: TowerSpec, a_index: int, b: Element) -> int:
+    """Closed form of S_a(b): q^f (q-1) epsilon (1 + sgn T_c) / (q^f - 1),
+    so Delta = q^f (q-1)^2 (1 + sgn T_c) / (q^f - 1) and
+    Lambda = -q^f (q-1) (1 + sgn T_c) / (q^f - 1), the constant -q when
+    f = 1."""
+    _check_formula(tower, a_index)
     q, f = tower.q, tower.f
     T = coset_sums(tower)[coset_of(tower, b)]
-    return _exact_div(q ** f * (q - 1) ** 2 * (1 + _sign(tower) * T),
-                      q ** f - 1)
-
-
-def lambda_closed(tower: TowerSpec, b: Element) -> int:
-    """Closed form of Lambda: -q^f (q-1) (1 + sgn T_c) / (q^f - 1);
-    collapses to the constant -q when f = 1."""
-    _check_formula(tower, 1)
-    q, f = tower.q, tower.f
-    T = coset_sums(tower)[coset_of(tower, b)]
-    return _exact_div(-(q ** f) * (q - 1) * (1 + _sign(tower) * T),
-                      q ** f - 1)
+    return _exact_div(q ** f * (q - 1) * shift_char_sum(tower, a_index)
+                      * (1 + _sign(tower) * T), q ** f - 1)
 
 
 def count_both_conditions(tower: TowerSpec, a_index: int, b: Element) -> int:

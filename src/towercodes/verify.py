@@ -8,14 +8,13 @@ the CLI and the tests can both render or gate on the same facts.
 """
 
 from collections import Counter
-from math import gcd
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .codes import (DefiningSet, WeightDistribution, brute_weight_distribution,
+from .codes import (WeightDistribution, brute_weight_distribution,
                     build_defining_set, puncture, zero_trace_counts)
-from .cyclotomic import (AddChar, CycloInt, MultChar, davenport_hasse_lift,
+from .cyclotomic import (AddChar, MultChar, davenport_hasse_lift,
                          gauss_sum, gauss_sum_semiprimitive,
                          lifted_char_index, monomial_char_sum,
                          semiprimitive_exponent, unity_power_sums)
@@ -67,22 +66,25 @@ def _golden(n: int, dim: int, q: int,
 # suite: worked examples
 # ---------------------------------------------------------------------------
 
-# (p, e, f, k, a_index, n, dim, ((w, count), ...))
+# (p, e, f, k, a_index, punctured, n, dim, ((w, count), ...))
 _EXAMPLES = (
-    (2, 2, 2, 4, 0, 51, 4, ((36, 204), (48, 51))),
-    (3, 1, 2, 6, 0, 182, 6, ((108, 182), (126, 546))),
-    (2, 1, 2, 4, 1, 10, 4, ((4, 5), (6, 10))),
-    (2, 1, 2, 6, 1, 42, 6, ((20, 42), (24, 21))),
-    (2, 2, 2, 4, 1, 68, 4, ((48, 51), (52, 204))),
-    (2, 1, 3, 6, 1, 36, 6, ((16, 27), (20, 36))),
+    (2, 2, 2, 4, 0, False, 51, 4, ((36, 204), (48, 51))),
+    (3, 1, 2, 6, 0, False, 182, 6, ((108, 182), (126, 546))),
+    (2, 1, 2, 4, 1, False, 10, 4, ((4, 5), (6, 10))),
+    (2, 1, 2, 6, 1, False, 42, 6, ((20, 42), (24, 21))),
+    (2, 2, 2, 4, 1, False, 68, 4, ((48, 51), (52, 204))),
+    (2, 1, 3, 6, 1, False, 36, 6, ((16, 27), (20, 36))),
+    (2, 2, 2, 4, 0, True, 17, 4, ((12, 204), (16, 51))),
 )
 
 
-def _family_route(tower: TowerSpec, a_index: int
+def _family_route(tower: TowerSpec, a_index: int, punctured: bool
                   ) -> Optional[WeightDistribution]:
-    """The specialized closed display covering this tuple, if any."""
+    """The specialized closed display covering this code, if any."""
     if a_index == 0:
         if tower.f == 2 and tower.k > 2:
+            if punctured:
+                return theory.dist_zero_shift_f2_punctured(tower.q, tower.k)
             return theory.dist_zero_shift_f2(tower.q, tower.k)
         return None
     if tower.f in (1, 2):
@@ -94,31 +96,25 @@ def _family_route(tower: TowerSpec, a_index: int
 
 def suite_examples(workers: int = 1) -> List[CheckResult]:
     out = []
-    for p, e, f, k, a_index, n, dim, rows in _EXAMPLES:
+    for p, e, f, k, a_index, punctured, n, dim, rows in _EXAMPLES:
         tower = TowerSpec(p, e, f, k)
         golden = _golden(n, dim, tower.q, rows)
         ds = build_defining_set(tower, a_index)
+        if punctured:
+            ds = puncture(ds)
         brute = brute_weight_distribution(ds, workers=workers)
-        predicted = theory.predicted_distribution(tower, a_index)
-        family = _family_route(tower, a_index)
+        predicted = theory.predicted_distribution(tower, a_index,
+                                                  punctured=punctured)
+        family = _family_route(tower, a_index, punctured)
         ok = brute == golden and predicted == golden
         routes = 2
         if family is not None:
             ok = ok and family == golden
             routes += 1
         name = f"example q={tower.q} f={f} k={k} a_index={a_index}"
+        if punctured:
+            name += " punctured"
         out.append(CheckResult(name, ok, f"{routes} routes give {brute!r}"))
-
-    # the punctured companion of the first example
-    tower = TowerSpec(2, 2, 2, 4)
-    ds = puncture(build_defining_set(tower, 0))
-    brute = brute_weight_distribution(ds, workers=workers)
-    golden = _golden(17, 4, 4, ((12, 204), (16, 51)))
-    ok = (brute == golden
-          and theory.predicted_distribution(tower, 0, punctured=True) == golden
-          and theory.dist_zero_shift_f2_punctured(4, 4) == golden)
-    out.append(CheckResult("example q=4 f=2 k=4 a_index=0 punctured", ok,
-                           f"3 routes give {brute!r}"))
 
     # binary cubic tower: the spectrum route must agree as well
     field = get_field(2, 6)
@@ -175,11 +171,15 @@ def _check_trivial_gauss() -> CheckResult:
     return tally.result()
 
 
-def _check_gauss_modulus(limit: int = 1 << 12) -> CheckResult:
+# the largest field size the Gauss-sum identity checks reach
+_LEMMA_LIMIT = 1 << 12
+
+
+def _check_gauss_modulus() -> CheckResult:
     tally = _Tally("|G|^2 = field size")
     for p in (2, 3, 5, 7):
         m = 1
-        while p ** m <= limit:
+        while p ** m <= _LEMMA_LIMIT:
             field = get_field(p, m)
             r = p ** m
             for j in range(1, r - 1):
@@ -202,17 +202,17 @@ def _check_gauss_conjugation() -> CheckResult:
     return tally.result()
 
 
-def _check_semiprimitive(limit: int = 1 << 12) -> CheckResult:
+def _check_semiprimitive() -> CheckResult:
     tally = _Tally("semi-primitive closed form")
     for p in (2, 3, 5, 7):
-        for N in range(3, limit):
+        for N in range(3, _LEMMA_LIMIT):
             if N % p == 0:
                 continue
             j = semiprimitive_exponent(p, N)
-            if j is None or p ** (2 * j) > limit:
+            if j is None or p ** (2 * j) > _LEMMA_LIMIT:
                 continue
             gamma = 1
-            while p ** (2 * j * gamma) <= limit:
+            while p ** (2 * j * gamma) <= _LEMMA_LIMIT:
                 r = p ** (2 * j * gamma)
                 field = get_field(p, 2 * j * gamma)
                 base = (r - 1) // N
@@ -286,7 +286,7 @@ def _check_f2_value_rows() -> CheckResult:
     for p, e, k in ((2, 1, 4), (2, 1, 6), (3, 1, 6), (2, 2, 4)):
         tower = TowerSpec(p, e, 2, k)
         ds = build_defining_set(tower, 1)
-        lam = theory.lambda_grouped(ds)
+        lam = theory.exp_sum_grouped(ds)
         empirical = sorted(Counter(lam.tolist()).items())
         expected = sorted(theory.lambda_value_pairs_f2(tower))
         tally.record(empirical == expected, f"q={tower.q} k={k}")
@@ -297,8 +297,8 @@ def _check_f1_collapse() -> CheckResult:
     tally = _Tally("f=1 sum collapses to -q")
     for p, e, k in ((2, 1, 3), (2, 1, 4), (3, 1, 3), (5, 1, 3), (2, 2, 2)):
         tower = TowerSpec(p, e, 1, k)
-        lam = theory.lambda_grouped(build_defining_set(tower, 1))
-        closed = {theory.lambda_closed(tower, b)
+        lam = theory.exp_sum_grouped(build_defining_set(tower, 1))
+        closed = {theory.exp_sum_closed(tower, 1, b)
                   for b in range(tower.q ** k - 1)}
         ok = set(lam.tolist()) == {-tower.q} and closed == {-tower.q}
         tally.record(ok, f"q={tower.q} k={k}")
@@ -324,11 +324,17 @@ def suite_lemmas() -> List[CheckResult]:
 # suite: closed forms vs enumeration over a parameter grid
 # ---------------------------------------------------------------------------
 
-def grid_towers(budget: int = 1 << 13,
-                primes: Sequence[int] = (2, 3, 5)) -> List[TowerSpec]:
-    """Every tower with p in primes and field size q^k <= budget."""
+# the grid: every tower over these primes with q^k <= _GRID_BUDGET, the
+# literal triple sums only where q^k <= _LITERAL_BUDGET
+_GRID_PRIMES = (2, 3, 5)
+_GRID_BUDGET = 1 << 13
+_LITERAL_BUDGET = 1 << 8
+
+
+def grid_towers(budget: int = _GRID_BUDGET) -> List[TowerSpec]:
+    """Every tower with p in _GRID_PRIMES and field size q^k <= budget."""
     out = []
-    for p in primes:
+    for p in _GRID_PRIMES:
         e = 1
         while p ** e <= budget:
             q = p ** e
@@ -348,155 +354,104 @@ def _a_samples(q: int) -> List[int]:
     return [1, 2, q - 1]
 
 
-def _grid_zero_shift(tower: TowerSpec, workers: int, tallies, literal: bool):
+def _grid_code(tower: TowerSpec, a_index: int, workers: int, tallies,
+               literal: bool, first=None):
+    """Every grid check of the full code of one shift, and of its punctured
+    companion at a = 0.  first is the (ds, zeros, brute) of an earlier
+    nonzero shift of the tower, which this one must reproduce; returns
+    this code's triple."""
     q, f, k = tower.q, tower.f, tower.k
-    label = f"q={q} f={f} k={k} a=0"
-    ds = build_defining_set(tower, 0)
+    label = f"q={q} f={f} k={k} a={a_index}"
+    ds = build_defining_set(tower, a_index)
     zeros = zero_trace_counts(ds, workers=workers)
     brute = brute_weight_distribution(ds, workers=workers, zeros=zeros)
     tallies["total"].record(brute.total() == q ** brute.dim, label)
     tallies["singleton"].record(
         theory.singleton_slack(*brute.params()) >= 0, label)
-    divisible = all(w % (q - 1) == 0 for w in brute.counts if w)
-    tallies["scaling"].record(divisible, label)
+    report = theory.TheoryReport(tower, a_index)
+    codes = [(label, brute, report)]
 
-    pds = puncture(ds)
-    pzeros = zero_trace_counts(pds, workers=workers)
-    pbrute = brute_weight_distribution(pds, workers=workers, zeros=pzeros)
-    shrunk = {0: 1}
-    shrunk.update({w // (q - 1): c for w, c in brute.counts.items() if w})
-    # the kernel derives punctured counts from full orbits; recount a few
-    # directly over the punctured elements, with no orbit expansion
-    z = tower.field().trace_zero_indicator(tower.e)
-    M = z.size
-    recount = all(int(pzeros[s]) == int(z[(s + pds.elements) % M].sum())
-                  for s in {0, 1, M // 3, M - 1})
-    same = pbrute == WeightDistribution(len(pds), brute.dim, shrunk, q)
-    tallies["scaling"].record(same and recount, label + " punctured")
+    if a_index == 0:
+        divisible = all(w % (q - 1) == 0 for w in brute.counts if w)
+        tallies["scaling"].record(divisible, label)
+        pds = puncture(ds)
+        pzeros = zero_trace_counts(pds, workers=workers)
+        pbrute = brute_weight_distribution(pds, workers=workers,
+                                           zeros=pzeros)
+        shrunk = {0: 1}
+        shrunk.update({w // (q - 1): c for w, c in brute.counts.items() if w})
+        # the kernel derives punctured counts from full orbits; recount a
+        # few directly over the punctured elements, with no orbit expansion
+        z = tower.field().trace_zero_indicator(tower.e)
+        M = z.size
+        recount = all(int(pzeros[s]) == int(z[(s + pds.elements) % M].sum())
+                      for s in {0, 1, M // 3, M - 1})
+        same = pbrute == WeightDistribution(len(pds), brute.dim, shrunk, q)
+        tallies["scaling"].record(same and recount, label + " punctured")
+        codes.append((label + " punctured", pbrute,
+                      theory.TheoryReport(tower, 0, punctured=True)))
+    elif first is not None:
+        tallies["shift invariance"].record(brute == first[2], label)
+        if report.applicable:
+            # scaling the shift by u^(k/f) scales the defining set by u,
+            # which rotates the zero-count array by dlog(u)
+            field = tower.field()
+            M = field.mult_order
+            u = next(t for t in range(0, M, M // (q - 1))
+                     if field.mul(field.pow(t, k // f), first[0].a) == ds.a)
+            tallies["shift invariance"].record(
+                bool(np.array_equal(zeros, np.roll(first[1], -u))),
+                label + " rotation")
 
-    report = theory.TheoryReport(tower, 0)
-    if not (k > f > 1):
-        tallies["guards"].record(
-            not report.applicable and report.predicted is None, label)
-        return
-    tallies["closed vs brute"].record(report.matches(brute) is True, label)
-    tallies["closed vs brute"].record(
-        theory.predicted_distribution(tower, 0, punctured=True) == pbrute,
-        label + " punctured")
-    if f == 2:
-        tallies["family routes"].record(
-            theory.dist_zero_shift_f2(q, k) == brute, label)
-        tallies["family routes"].record(
-            theory.dist_zero_shift_f2_punctured(q, k) == pbrute,
-            label + " punctured")
-    d = brute.d_min
-    bound = theory.dmin_bound_zero_shift(q, f, k)
-    tallies["distance bounds"].record(d >= bound, f"{label} d={d} vs {bound}")
-    pbound = theory.dmin_bound_zero_shift_punctured(q, f, k)
-    tallies["distance bounds"].record(
-        pbrute.d_min >= pbound, f"{label} punctured")
+    if not report.applicable:
+        tallies["guards"].record(report.matches(brute) is None, label)
+        return ds, zeros, brute
+    for name, dist, rep in codes:
+        tallies["closed vs brute"].record(rep.matches(dist) is True, name)
+        family = _family_route(tower, a_index, rep.punctured)
+        if family is not None:
+            tallies["family routes"].record(family == dist, name)
+        tallies["distance bounds"].record(
+            dist.d_min >= rep.bound, f"{name} d={dist.d_min} vs {rep.bound}")
+    if f == 1:
+        d = brute.d_min
+        need = theory.griesmer_min_length(q, brute.dim, d)
+        tallies["distance bounds"].record(
+            brute.n == need and d == report.bound, f"{label} one-weight")
 
-    grouped = theory.delta_grouped(ds, zeros)
+    grouped = theory.exp_sum_grouped(ds, zeros)
     N = (q ** f - 1) // (q - 1)
-    closed = np.array([theory.delta_closed(tower, c) for c in range(N)],
-                      dtype=np.int64)
+    closed = np.array([theory.exp_sum_closed(tower, a_index, c)
+                       for c in range(N)], dtype=np.int64)
     s = np.arange(len(grouped), dtype=np.int64)
     tallies["pointwise sums"].record(
         bool(np.array_equal(grouped, closed[s % N])), label)
     if literal:
         field = tower.field()
         M = field.mult_order
-        for b in range(0, M, max(1, M // 8)):
+        eps = theory.shift_char_sum(tower, a_index)
+        step = M // 8 if a_index == 0 else M // 6
+        for b in range(0, M, max(1, step)):
             tallies["literal sums"].record(
-                theory.delta_direct(field, tower, b) == int(grouped[b]),
-                f"{label} b={b}")
+                theory.exp_sum_direct(field, tower, b, a_index)
+                == int(grouped[b]), f"{label} b={b}")
             lhs = q * q * (q ** f - 1) * \
-                theory.count_both_conditions(tower, 0, b)
-            rhs = q ** k * (q ** f - 1) + (q - 1) * (q ** f - q ** k) \
+                theory.count_both_conditions(tower, a_index, b)
+            rhs = q ** k * (q ** f - 1) + eps * (q ** f - q ** k) \
                 + (q ** f - 1) * int(grouped[b])
             tallies["solution counts"].record(lhs == rhs, f"{label} b={b}")
+    return ds, zeros, brute
 
 
-def _grid_nonzero_shift(tower: TowerSpec, workers: int, tallies,
-                        literal: bool):
-    q, f, k = tower.q, tower.f, tower.k
-    admissible = tower.gcd_condition()
-    first = None
-    for a_index in _a_samples(q):
-        label = f"q={q} f={f} k={k} a_index={a_index}"
-        ds = build_defining_set(tower, a_index)
-        zeros = zero_trace_counts(ds, workers=workers)
-        brute = brute_weight_distribution(ds, workers=workers, zeros=zeros)
-        tallies["total"].record(brute.total() == q ** brute.dim, label)
-        tallies["singleton"].record(
-            theory.singleton_slack(*brute.params()) >= 0, label)
-        if first is None:
-            first = (ds, zeros, brute)
-        else:
-            tallies["shift invariance"].record(brute == first[2], label)
-            if admissible:
-                # scaling the shift by u^(k/f) scales the defining set by
-                # u, which rotates the zero-count array by dlog(u)
-                field = tower.field()
-                M = field.mult_order
-                kf = k // f
-                u = next(t for t in range(0, M, M // (q - 1))
-                         if field.mul(field.pow(t, kf), first[0].a) == ds.a)
-                rolled = np.roll(first[1], -u)
-                tallies["shift invariance"].record(
-                    bool(np.array_equal(zeros, rolled)), label + " rotation")
-
-        report = theory.TheoryReport(tower, a_index)
-        if not admissible:
-            tallies["guards"].record(
-                not report.applicable and report.matches(brute) is None,
-                label)
-            continue
-        tallies["closed vs brute"].record(report.matches(brute) is True,
-                                          label)
-        d = brute.d_min
-        bound = theory.dmin_bound_nonzero_shift(q, f, k)
-        tallies["distance bounds"].record(d >= bound,
-                                          f"{label} d={d} vs {bound}")
-        if f in (1, 2):
-            family, _ = theory.dist_nonzero_shift(q, f, k)
-            tallies["family routes"].record(family == brute, label)
-        if f == 1:
-            need = theory.griesmer_min_length(q, brute.dim, d)
-            tallies["distance bounds"].record(
-                brute.n == need and d == bound, f"{label} one-weight")
-
-        grouped = theory.lambda_grouped(ds, zeros)
-        N = (q ** f - 1) // (q - 1)
-        closed = np.array([theory.lambda_closed(tower, c) for c in range(N)],
-                          dtype=np.int64)
-        s = np.arange(len(grouped), dtype=np.int64)
-        tallies["pointwise sums"].record(
-            bool(np.array_equal(grouped, closed[s % N])), label)
-        if literal:
-            field = tower.field()
-            M = field.mult_order
-            for b in range(0, M, max(1, M // 6)):
-                tallies["literal sums"].record(
-                    theory.lambda_direct(field, tower, b, a_index)
-                    == int(grouped[b]), f"{label} b={b}")
-                lhs = q * q * (q ** f - 1) * \
-                    theory.count_both_conditions(tower, a_index, b)
-                rhs = q ** k * (q ** f - 1) + (q ** k - q ** f) \
-                    + (q ** f - 1) * int(grouped[b])
-                tallies["solution counts"].record(lhs == rhs, f"{label} b={b}")
-
-
-def suite_grid(budget: int = 1 << 13, workers: int = 1,
-               literal_budget: int = 1 << 8) -> List[CheckResult]:
+def suite_grid(workers: int = 1) -> List[CheckResult]:
     names = ("closed vs brute", "family routes", "pointwise sums",
              "literal sums", "solution counts", "shift invariance",
              "scaling", "total", "singleton", "distance bounds", "guards")
     tallies = {name: _Tally(name) for name in names}
-    for tower in grid_towers(budget):
-        literal = tower.q ** tower.k <= literal_budget and tower.q <= 16
+    for tower in grid_towers():
+        literal = tower.q ** tower.k <= _LITERAL_BUDGET and tower.q <= 16
         if tower.f > 1:
-            _grid_zero_shift(tower, workers, tallies, literal)
+            _grid_code(tower, 0, workers, tallies, literal)
         else:
             try:
                 build_defining_set(tower, 0)
@@ -505,7 +460,11 @@ def suite_grid(budget: int = 1 << 13, workers: int = 1,
                 empty_ok = True
             tallies["guards"].record(
                 empty_ok, f"q={tower.q} k={tower.k} a=0 empty set")
-        _grid_nonzero_shift(tower, workers, tallies, literal)
+        first = None
+        for a_index in _a_samples(tower.q):
+            got = _grid_code(tower, a_index, workers, tallies, literal,
+                             first)
+            first = first or got
     return [tallies[name].result() for name in names]
 
 

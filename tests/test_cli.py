@@ -135,7 +135,7 @@ def test_search_is_byte_stable(capsys):
     assert first == second
 
 
-def test_workers_flag_is_invisible_in_output(capsys):
+def test_workers_flag_is_invisible_in_output(capsys, pool_sizes):
     _, one, _ = run(capsys, "search", "--budget", "128", "--workers", "1")
     _, four, _ = run(capsys, "search", "--budget", "128", "--workers", "4")
     assert one == four
@@ -144,6 +144,14 @@ def test_workers_flag_is_invisible_in_output(capsys):
     _, c4, _ = run(capsys, "code", "--p", "3", "--e", "1", "--f", "2",
                    "--k", "8", "--a", "1", "--workers", "4")
     assert c1 == c4
+    assert pool_sizes == []  # q^f - 1 < 4096: one thread whatever the flag
+    # q^f - 1 = 6560: --workers 4 splits the shifts over the two CPUs
+    _, b1, _ = run(capsys, "code", "--p", "3", "--e", "1", "--f", "8",
+                   "--k", "8", "--a", "1", "--workers", "1")
+    assert pool_sizes == []
+    _, b4, _ = run(capsys, "code", "--p", "3", "--e", "1", "--f", "8",
+                   "--k", "8", "--a", "1", "--workers", "4")
+    assert b1 == b4 and pool_sizes == [2]
 
 
 def test_parameter_errors_exit_2(capsys):

@@ -279,7 +279,7 @@ def test_grid_punctured_recount_catches_rotated_counts(monkeypatch):
     for counts, fails in ((honest, []), (rotated, [label])):
         monkeypatch.setattr(verify, "zero_trace_counts", counts)
         tallies = defaultdict(lambda: verify._Tally(""))
-        verify._grid_zero_shift(tower, 1, tallies, literal=False)
+        verify._grid_code(tower, 0, 1, tallies, literal=False)
         assert tallies["scaling"].cases == 2
         assert tallies["scaling"].failures == fails
         assert not tallies["closed vs brute"].failures

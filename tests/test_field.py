@@ -375,12 +375,16 @@ def test_constructor_validation():
 
 
 def test_budget_guard_is_exact_at_its_thresholds():
-    # refuses only fields truly past the budget, read off p or m alone
+    # refuses exactly the fields past the budget
     check_field_budget(2, 20)
     check_field_budget(MAX_FIELD_ORDER, 1)
     check_field_budget(1, 10 ** 9)  # no field, but not over budget
+    check_field_budget(-3, 10 ** 8)  # no field; (-3)^(10^8) is never formed
     with pytest.raises(ValueError, match=r"2\^21 = 2097152 exceeds budget"):
         check_field_budget(2, 21)  # small enough to show, as Field does
+    check_field_budget(3, 12)  # 531441
+    with pytest.raises(ValueError, match=r"3\^13 = 1594323 exceeds budget"):
+        check_field_budget(3, 13)  # neither p nor 2^13 alone is too large
     for p, m in ((MAX_FIELD_ORDER + 1, 1), (2 ** 61 - 1, 1), (3, 10 ** 8)):
         with pytest.raises(ValueError, match=rf"{p}\^{m} exceeds budget"):
             check_field_budget(p, m)

@@ -20,9 +20,6 @@ from towercodes.theory import (
     coset_sum_counts,
     coset_sums,
     count_both_conditions,
-    delta_closed,
-    delta_direct,
-    delta_grouped,
     dist_binary_cubic,
     dist_nonzero_shift,
     dist_zero_shift_f2,
@@ -30,11 +27,11 @@ from towercodes.theory import (
     dmin_bound_nonzero_shift,
     dmin_bound_zero_shift,
     dmin_bound_zero_shift_punctured,
+    exp_sum_closed,
+    exp_sum_direct,
+    exp_sum_grouped,
     griesmer_min_length,
     griesmer_verdict,
-    lambda_closed,
-    lambda_direct,
-    lambda_grouped,
     lambda_value_pairs_f2,
     predicted_distribution,
     quad_power_trace,
@@ -42,8 +39,7 @@ from towercodes.theory import (
     singleton_slack,
     walsh_spectrum,
     walsh_weight_distribution,
-    weight_nonzero_shift,
-    weight_zero_shift,
+    weight_closed,
 )
 from towercodes.verify import grid_towers
 
@@ -56,13 +52,13 @@ def test_delta_routes_agree_pointwise():
     field = tower.field()
     ds = build_defining_set(tower, 0)
     zeros = zero_trace_counts(ds)
-    grouped = delta_grouped(ds, zeros)
+    grouped = exp_sum_grouped(ds, zeros)
     q, f, k = tower.q, tower.f, tower.k
     N = (q ** f - 1) // (q - 1)
     for b in field.nonzero():
         want = int(grouped[b])
-        assert delta_direct(field, tower, b) == want
-        assert delta_closed(tower, coset_of(tower, b)) == want
+        assert exp_sum_direct(field, tower, b, 0) == want
+        assert exp_sum_closed(tower, 0, coset_of(tower, b)) == want
         # solution count of the paired conditions, rearranged
         lhs = q * q * (q ** f - 1) * count_both_conditions(tower, 0, b)
         rhs = q ** k * (q ** f - 1) + (q - 1) * (q ** f - q ** k) \
@@ -75,26 +71,16 @@ def test_lambda_routes_agree_pointwise():
     tower = TowerSpec(2, 1, 2, 4)
     field = tower.field()
     ds = build_defining_set(tower, 1)
-    grouped = lambda_grouped(ds)
+    grouped = exp_sum_grouped(ds)
     q, f, k = tower.q, tower.f, tower.k
     for b in field.nonzero():
         want = int(grouped[b])
-        assert lambda_direct(field, tower, b, 1) == want
-        assert lambda_closed(tower, coset_of(tower, b)) == want
+        assert exp_sum_direct(field, tower, b, 1) == want
+        assert exp_sum_closed(tower, 1, coset_of(tower, b)) == want
         lhs = q * q * (q ** f - 1) * count_both_conditions(tower, 1, b)
         rhs = q ** k * (q ** f - 1) + (q ** k - q ** f) \
             + (q ** f - 1) * want
         assert lhs == rhs
-
-
-def test_grouped_regime_guards():
-    with pytest.raises(ValueError):
-        delta_grouped(build_defining_set(TowerSpec(2, 1, 2, 4), 1))
-    with pytest.raises(ValueError):
-        lambda_grouped(build_defining_set(TowerSpec(2, 1, 2, 4), 0))
-    with pytest.raises(ValueError):
-        lambda_direct(TowerSpec(2, 1, 2, 4).field(), TowerSpec(2, 1, 2, 4),
-                      0, 0)
 
 
 def test_lambda_collapses_to_minus_q_when_f_is_1():
@@ -102,28 +88,28 @@ def test_lambda_collapses_to_minus_q_when_f_is_1():
         tower = TowerSpec(*spec)
         assert tower.gcd_condition()
         for c in range(1):
-            assert lambda_closed(tower, c) == -tower.q
+            assert exp_sum_closed(tower, 1, c) == -tower.q
 
 
 def test_gcd_violation_refuses_closed_form_only():
     tower = TowerSpec(3, 1, 1, 2)  # gcd(2, 2) = 2
     field = tower.field()
     with pytest.raises(ValueError, match="gcd"):
-        lambda_closed(tower, 0)
+        exp_sum_closed(tower, 1, 0)
     with pytest.raises(ValueError, match="gcd"):
-        weight_nonzero_shift(tower, 0)
+        weight_closed(tower, 1, 0)
     # the direct and grouped sums still exist
     ds = build_defining_set(tower, 1)
-    grouped = lambda_grouped(ds)
+    grouped = exp_sum_grouped(ds)
     for b in field.nonzero():
-        assert lambda_direct(field, tower, b, 1) == int(grouped[b])
+        assert exp_sum_direct(field, tower, b, 1) == int(grouped[b])
 
 
 def test_lambda_value_pairs_f2():
     for spec in [(2, 1, 2, 4), (3, 1, 2, 6)]:
         tower = TowerSpec(*spec)
         ds = build_defining_set(tower, 1)
-        vals = lambda_grouped(ds)
+        vals = exp_sum_grouped(ds)
         freq = {}
         for v in vals.tolist():
             freq[v] = freq.get(v, 0) + 1
@@ -294,15 +280,15 @@ def test_weight_formulas_match_enumeration():
     ds1 = build_defining_set(tower, 1)
     z1 = zero_trace_counts(ds1)
     for s in tower.field().nonzero():
-        assert weight_zero_shift(tower, s) == len(ds0) - int(z0[s])
-        assert weight_nonzero_shift(tower, s) == len(ds1) - int(z1[s])
+        assert weight_closed(tower, 0, s) == len(ds0) - int(z0[s])
+        assert weight_closed(tower, 1, s) == len(ds1) - int(z1[s])
 
 
 def test_weight_zero_shift_guard():
     with pytest.raises(ValueError, match="k > f > 1"):
-        weight_zero_shift(TowerSpec(2, 1, 1, 3), 0)
+        weight_closed(TowerSpec(2, 1, 1, 3), 0, 0)
     with pytest.raises(ValueError, match="k > f > 1"):
-        weight_zero_shift(TowerSpec(2, 1, 2, 2), 0)
+        weight_closed(TowerSpec(2, 1, 2, 2), 0, 0)
 
 
 def test_code_length_matches_sets():
@@ -335,10 +321,9 @@ def test_predicted_punctured():
 
 
 def _per_coset_distribution(tower, a_index, punctured):
-    # the literal route: one weight_*_shift call per coset c < N
+    # the literal route: one weight_closed call per coset c < N
     q, f, k = tower.q, tower.f, tower.k
     N = (q ** f - 1) // (q - 1)
-    weigh = weight_zero_shift if a_index == 0 else weight_nonzero_shift
     if punctured and a_index != 0:
         raise ValueError("puncturing requires the a = 0 code")
     scale = q - 1 if punctured else 1
@@ -347,7 +332,7 @@ def _per_coset_distribution(tower, a_index, punctured):
         raise ArithmeticError(f"{n_code} is not divisible by {scale}")
     counts = {0: 1}
     for c in range(N):
-        w = weigh(tower, c)
+        w = weight_closed(tower, a_index, c)
         if w % scale:
             raise ArithmeticError(f"{w} is not divisible by {scale}")
         w //= scale
@@ -556,20 +541,22 @@ def test_closed_forms_share_one_applicability_rule():
     for spec in [(2, 1, 2, 4), (2, 1, 1, 3), (2, 1, 2, 2), (3, 1, 1, 2),
                  (5, 1, 2, 4), (3, 1, 2, 6)]:
         tower = TowerSpec(*spec)
-        for a_index, closed in ((0, delta_closed), (0, weight_zero_shift),
-                                (1, lambda_closed), (1, weight_nonzero_shift),
+        for a_index, closed in ((0, exp_sum_closed), (0, weight_closed),
+                                (1, exp_sum_closed), (1, weight_closed),
                                 (1, predicted_distribution)):
             rep = TheoryReport(tower, a_index)
             assert (rep.reason == "") == rep.applicable
             if a_index == 0:
                 assert (rep.bound is None) == (not rep.applicable)
-            # predicted_distribution takes the shift, the others b = alpha^0
-            arg = a_index if closed is predicted_distribution else 0
+            # predicted_distribution takes the shift, the others the shift
+            # and b = alpha^0
+            args = (a_index,) if closed is predicted_distribution \
+                else (a_index, 0)
             if rep.applicable:
-                closed(tower, arg)
+                closed(tower, *args)
             else:
                 with pytest.raises(ValueError) as exc:
-                    closed(tower, arg)
+                    closed(tower, *args)
                 assert str(exc.value) == rep.reason
     assert TheoryReport(TowerSpec(2, 1, 1, 3), 0).reason == \
         "a = 0 closed forms need k > f > 1"
