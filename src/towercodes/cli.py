@@ -14,6 +14,7 @@ fails, 2 for usage errors (bad flags or invalid parameters).
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from .codes import brute_weight_distribution, build_defining_set, puncture
@@ -181,7 +182,10 @@ def _cmd_search(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parsing leaves it
+    unchanged, and every call gets a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="towercodes",
         description="trace-defined linear codes over subfield towers")

@@ -11,8 +11,9 @@ of D are kept as alpha-exponents in increasing order, in a read-only int64
 array, which fixes the coordinate permutation and makes codeword-level
 results reproducible.  D is one vectorized scan of the subfield trace
 table, and puncturing keeps s mod (q^k-1)/(q-1), the least exponent of each
-F_q^*-orbit.  The field budget of field.py bounds every code: the top field
-is built, and refused above the budget, before any enumeration.
+F_q^*-orbit, read off one bincount of those residues.  The field budget of
+field.py bounds every code: the top field is built, and refused above the
+budget, before any enumeration.
 
 Enumeration covers all q^k values of b: the weight of c_b for b = alpha^s
 is |D| minus Z_s, the number of d in D with Tr(alpha^(s+d)) = 0.  D is a
@@ -22,6 +23,10 @@ M = q^k - 1 and Mf = q^f - 1 the count Z_s depends only on s mod Mf:
     Z_s = sum_{h in D mod Mf} N0[(s + h) mod Mf],
     N0[t] = |{u = t mod Mf : Tr(alpha^u) = 0}|.
 
+Each residue class mod Mf holds M/Mf exponents mod M, so D is such a union
+exactly when no two of its elements agree mod M and each residue of D mod
+Mf occurs M/Mf times: two bincounts check that, in O(M) and without a sort.
+
 Two more symmetries come from the trace alone.  Tr is F_q-linear, so
 Z_(s + sigma) = Z_s with alpha^sigma generating F_q^*, sigma =
 (q^k-1)/(q-1); with the period Mf this leaves the period
@@ -29,13 +34,14 @@ g = gcd(sigma, Mf) = N gcd(k/f, q-1), N = (q^f-1)/(q-1).  And x -> x^q
 fixes a, maps D onto itself and keeps Tr(x) = 0, so Z_(qs) = Z_s (x -> x^p
 moves a when q > p, so p would not do).  One pass over the trace-zero
 table gives N0, a vectorized gather computes Z only at the least member
-of each class {q^i t mod g} (about g/f classes), and expanding the
-classes and tiling gives all M counts: O(M + (g/f) |D mod Mf|) work
-instead of O(M |D|).  A punctured set is expanded back to its F_q^*
-orbits first; the trace is F_q-linear, so the counts divide exactly by
-q - 1.  The histogram over b is then deduplicated by the kernel of
-b -> c_b, so repeated codewords (when the map is not injective) are
-counted once, and its first moment is checked against the Pless identity.
+of each class {q^i t mod g} (about g/f classes), and gathering every t's
+class sum by its least member and tiling gives all M counts:
+O(M + (g/f) |D mod Mf|) work instead of O(M |D|).  A punctured set is
+expanded back to its F_q^* orbits first; the trace is F_q-linear, so the
+counts divide exactly by q - 1.  The histogram over b is then deduplicated
+by the kernel of b -> c_b, so repeated codewords (when the map is not
+injective) are counted once, and its first moment is checked against the
+Pless identity.
 """
 
 import os
@@ -118,8 +124,9 @@ def puncture(ds: DefiningSet) -> DefiningSet:
     if ds.punctured:
         return ds
     step = ds.tower.field().subfield_exp(ds.tower.e)
-    return DefiningSet(ds.tower, ds.a_index, ds.a,
-                       np.unique(ds.elements % step), punctured=True)
+    orbits = np.bincount(ds.elements % step)
+    return DefiningSet(ds.tower, ds.a_index, ds.a, np.flatnonzero(orbits),
+                       punctured=True)
 
 
 class WeightDistribution:
@@ -184,9 +191,10 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
     D = ds.elements
     if ds.punctured:
         D = (D[:, None] + step * np.arange(q - 1)).ravel()
-    full = np.unique(D % M)
-    H = np.unique(full % Mf)
-    if full.size != D.size or H.size * (M // Mf) != full.size:
+    D = D % M
+    per_class = np.bincount(D % Mf)
+    H = np.flatnonzero(per_class)
+    if (per_class[H] != M // Mf).any() or (np.bincount(D) > 1).any():
         raise ValueError(f"{ds!r} is not a union of norm-kernel cosets")
     N0 = field.trace_zero_indicator(tower.e).reshape(-1, Mf).sum(
         axis=0, dtype=np.int64)
@@ -198,7 +206,7 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
     for _ in range(tower.f - 1):
         t = t * q % g
         np.minimum(least, t, out=least)
-    reps, inverse = np.unique(least, return_inverse=True)
+    reps = np.flatnonzero(least == np.arange(g))
     rows = max(1, _CHUNK_CELLS // max(1, H.size))
 
     def run(lo: int, hi: int) -> np.ndarray:
@@ -209,7 +217,8 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
             out[start - lo:stop - lo] = N0[idx].sum(axis=1)
         return out
 
-    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or Mf < 4096:
         sums = run(0, reps.size)
     else:
@@ -218,7 +227,9 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
             sums = np.concatenate(list(pool.map(
                 lambda i: run(int(bounds[i]), int(bounds[i + 1])),
                 range(workers))))
-    counts = sums[inverse]
+    class_sums = np.empty(g, dtype=np.int64)
+    class_sums[reps] = sums
+    counts = class_sums[least]
     if ds.punctured:
         counts //= q - 1
     return np.tile(counts, M // g)
@@ -249,13 +260,11 @@ def brute_weight_distribution(ds: DefiningSet, workers: int = 1,
             raise RuntimeError("kernel size is not a power of q")
         rem //= q
         dim_drop += 1
-    counts = {0: 1}
-    for w in range(1, n + 1):
-        c = int(hist[w])
-        if c:
-            if c % kernel:
-                raise RuntimeError("codeword multiplicity mismatch")
-            counts[w] = c // kernel
+    ws = np.flatnonzero(hist[1:n + 1]) + 1
+    cs, rest = np.divmod(hist[ws], kernel)
+    if rest.any():
+        raise RuntimeError("codeword multiplicity mismatch")
+    counts = {0: 1, **dict(zip(ws.tolist(), cs.tolist()))}
     dim = tower.k - dim_drop
     # first Pless moment, times q: no coordinate of a trace code is all zero
     if q * sum(w * c for w, c in counts.items()) != n * (q - 1) * q ** dim:

@@ -107,7 +107,8 @@ def _convolved_periods(tower: TowerSpec, sub: np.ndarray) -> Tuple[int, ...]:
     r = tower.k // tower.f - 1
     # the Gaussian periods eta_c, c < N, of the generator g
     eta = np.where(sub[:N] < 0, q - 1, -1)
-    exact = np.int64 if int(np.abs(eta).sum()) ** r < 1 << 62 else object
+    # |eta^{*r}| <= (sum |eta|)^r entrywise, so int64 also holds N eta^{*r}
+    exact = np.int64 if N * int(np.abs(eta).sum()) ** r < 1 << 62 else object
     eta = eta.astype(exact)
     # eta^{*0} is the unit impulse at 0, eta^{*1} is eta itself
     u = eta if r else (np.arange(N) == 0).astype(exact)
@@ -116,7 +117,7 @@ def _convolved_periods(tower: TowerSpec, sub: np.ndarray) -> Tuple[int, ...]:
         full = np.convolve(eta, u)
         u = full[:N].copy()
         u[:N - 1] += full[N:]
-    return tuple(N * int(v) - _sign(tower) for v in u)
+    return tuple((N * u - _sign(tower)).tolist())
 
 
 def _sign(tower: TowerSpec) -> int:

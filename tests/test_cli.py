@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
+from towercodes import cli
 from towercodes.cli import main
 from towercodes.cyclotomic import CycloInt
 
@@ -89,7 +91,6 @@ def test_gauss_irrational(capsys):
     (lambda g: g + CycloInt.root(5), "G * conj(G) is not a rational integer"),
 ], ids=["wrong-integer", "irrational"])
 def test_gauss_bad_norm_exits_1(capsys, monkeypatch, corrupt, message):
-    from towercodes import cli
     honest = cli.gauss_sum
     monkeypatch.setattr(cli, "gauss_sum",
                         lambda field, j: corrupt(honest(field, j)))
@@ -249,3 +250,49 @@ def test_huge_fields_exceed_budget_before_any_work(argv):
                           capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "exceeds budget" in proc.stderr
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli._parser() is cli._parser()
+    argv = ("code", "--p", "2", "--e", "1", "--f", "2", "--k", "4")
+    first = run(capsys, *argv)
+    assert first[0] == 0 and first[2] == ""
+    # an argparse usage error, an `error: ...` exit, and other flag values
+    # in between leave nothing behind in the shared parser
+    with pytest.raises(SystemExit) as exc:
+        main(["code", "--p", "2", "--k", "4"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == first
+    code, _, err = run(capsys, *argv, "--a", "2")
+    assert code == 2 and err.startswith("error: a must be in [0, q)")
+    assert run(capsys, *argv) == first
+    code, out, _ = run(capsys, "code", "--p", "2", "--e", "2", "--f", "2",
+                       "--k", "4", "--punctured", "--format", "csv")
+    assert code == 0 and out.startswith("p,e,f,k,a,")
+    assert run(capsys, *argv) == first
+
+
+def test_requests_import_no_further_modules():
+    # once the parser is built, a code or search request loads no module:
+    # a lazily imported one (numpy.ma, say) would cost every fresh process
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from towercodes import cli
+        cli._parser()
+        before = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (
+                    ["code", "--p", "3", "--e", "1", "--f", "2", "--k", "4"],
+                    ["code", "--p", "3", "--e", "1", "--f", "2", "--k", "4",
+                     "--punctured"],
+                    ["code", "--p", "3", "--e", "1", "--f", "2", "--k", "4",
+                     "--a", "2"],
+                    ["search", "--budget", "64"]):
+                assert cli.main(argv) == 0, argv
+        print(sorted(set(sys.modules) - before))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,9 +1,11 @@
 """Defining sets, codeword maps, exhaustive weight distributions."""
 
 from collections import defaultdict
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from towercodes.codes import (
     DefiningSet,
@@ -149,6 +151,33 @@ def test_puncture_matches_orbit_min_loop(tower):
     small = puncture(full)
     assert small.elements.dtype == np.int64
     assert small.elements.tolist() == _orbit_min_puncture(full)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tower=st.sampled_from(grid_towers(1 << 10)), data=st.data())
+def test_puncture_properties(tower, data):
+    # on the built a = 0 set, or on any union of norm-kernel cosets that is
+    # stable under F_q^* scaling and x -> x^q, as every built set is: the
+    # exponents whose residue mod g = gcd(step, q^f - 1) lies in the
+    # q-Frobenius closure of a drawn set of classes
+    field = tower.field()
+    M = field.mult_order
+    step = field.subfield_exp(tower.e)
+    if tower.k > tower.f > 1 and data.draw(st.booleans()):
+        full = build_defining_set(tower, 0)
+    else:
+        g = gcd(step, tower.q ** tower.f - 1)
+        classes = data.draw(st.sets(st.integers(0, g - 1), min_size=1))
+        keep = np.zeros(g, dtype=bool)
+        for i in range(tower.f):
+            keep[[c * tower.q ** i % g for c in classes]] = True
+        s = np.arange(M)
+        full = DefiningSet(tower, 0, None, s[keep[s % g]])
+    small = puncture(full)
+    assert np.array_equal(small.elements, np.unique(full.elements % step))
+    zs = zero_trace_counts(small)
+    assert np.array_equal(zs * (tower.q - 1), zero_trace_counts(full))
+    assert np.array_equal(zs, _literal_zero_counts(small))
 
 
 def test_tables_are_read_only():
@@ -299,6 +328,15 @@ def test_non_coset_defining_set_raises():
     bad = DefiningSet(full.tower, 0, full.a,
                       np.concatenate([reps[:1], reps[:1] + step, reps[2:]]),
                       punctured=True)
+    with pytest.raises(ValueError, match="norm-kernel cosets"):
+        zero_trace_counts(bad)
+    # d and d + (q^k - 1) in place of d + (q^f - 1): every residue mod
+    # q^f - 1 keeps its count, but two elements agree mod q^k - 1
+    M = ds.tower.field().mult_order
+    Mf = ds.tower.q ** ds.tower.f - 1
+    d = int(ds.elements[0])
+    twins = np.append(ds.elements[ds.elements != d + Mf], d + M)
+    bad = DefiningSet(ds.tower, ds.a_index, ds.a, twins)
     with pytest.raises(ValueError, match="norm-kernel cosets"):
         zero_trace_counts(bad)
 
