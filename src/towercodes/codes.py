@@ -32,10 +32,12 @@ Z_(s + sigma) = Z_s with alpha^sigma generating F_q^*, sigma =
 (q^k-1)/(q-1); with the period Mf this leaves the period
 g = gcd(sigma, Mf) = N gcd(k/f, q-1), N = (q^f-1)/(q-1).  And x -> x^q
 fixes a, maps D onto itself and keeps Tr(x) = 0, so Z_(qs) = Z_s (x -> x^p
-moves a when q > p, so p would not do).  One pass over the trace-zero
-table gives N0, a vectorized gather computes Z only at the least member
-of each class {q^i t mod g} (about g/f classes), and gathering every t's
-class sum by its least member and tiling gives all M counts:
+moves a when q > p, so p would not do); a set that is not stable is
+refused, after one gather checks that D mod Mf is closed under times q.
+One pass over the trace-zero table gives N0, a vectorized gather computes
+Z only at the least member of each class {q^i t mod g} (about g/f
+classes), and gathering every t's class sum by its least member and
+tiling gives all M counts:
 O(M + (g/f) |D mod Mf|) work instead of O(M |D|).  A punctured set is
 expanded back to its F_q^* orbits first; the trace is F_q-linear, so the
 counts divide exactly by q - 1.  The histogram over b is then deduplicated
@@ -180,7 +182,8 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
     this count; the same array drives the exponential-sum checks.
 
     Raises ValueError when D (after undoing the puncturing) is not a union
-    of cosets of the norm kernel, the shape every built defining set has.
+    of cosets of the norm kernel, or not stable under x -> x^q: the shape
+    every built defining set has, and the one the class gather relies on.
     """
     tower = ds.tower
     field = tower.field()
@@ -192,10 +195,12 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
     if ds.punctured:
         D = (D[:, None] + step * np.arange(q - 1)).ravel()
     D = D % M
-    per_class = np.bincount(D % Mf)
+    per_class = np.bincount(D % Mf, minlength=Mf)
     H = np.flatnonzero(per_class)
     if (per_class[H] != M // Mf).any() or (np.bincount(D) > 1).any():
         raise ValueError(f"{ds!r} is not a union of norm-kernel cosets")
+    if not per_class[H * q % Mf].all():
+        raise ValueError(f"{ds!r} is not stable under x -> x^q")
     N0 = field.trace_zero_indicator(tower.e).reshape(-1, Mf).sum(
         axis=0, dtype=np.int64)
     # Z_s has period g (F_q^*-scaling) and Z_(qs) = Z_s (q-Frobenius), so

@@ -8,9 +8,15 @@ arithmetic mod ``p^m - 1``.
 
 The modulus is the smallest primitive polynomial over F_p in lexicographic
 coefficient order (constant term least significant), so a given ``(p, m)``
-always produces the same tables.  A candidate is tested on powers of its
-companion matrix C (the matrix of multiplication by x): x^M = 1 and
-x^(M/l) != 1 for every prime l | M, M = p^m - 1.  Subfields F_{p^d} for
+always produces the same tables.  The answer depends on (p, m) alone, so
+for m >= 2 it is read from PRIMITIVE_CODES, a constant table over every
+such field within the budget (Lidl-Niederreiter, *Finite Fields*, ch. 10).
+A prime field's modulus is searched, and the same search is the reference
+that re-derives the table in the tests: a candidate is tested on powers of
+its companion matrix C (the matrix of multiplication by x), x^M = 1 and
+x^(M/l) != 1 for every prime l | M, M = p^m - 1.  Either way the table
+build checks that the powers of alpha hit every nonzero element once and
+close at alpha^M = 1, so a wrong modulus cannot pass.  Subfields F_{p^d} for
 ``d | m`` live inside the table as the exponents divisible by
 ``(p^m - 1) / (p^d - 1)``; relative traces and norms between any two nested
 subfields are supported directly.
@@ -144,6 +150,90 @@ def _x_pow_is_one(squares, e: int, p: int) -> bool:
     return np.array_equal(row, one)
 
 
+def _monic(code: int, p: int, m: int) -> Tuple[int, ...]:
+    """Coefficients, low degree first, of x^m + sum_i c_i x^i for
+    code = sum_i c_i p^i."""
+    return tuple(code // p ** i % p for i in range(m)) + (1,)
+
+
+def least_primitive_code(p: int, m: int) -> int:
+    """Least code = sum_i c_i p^i (i < m) whose polynomial
+    x^m + sum_i c_i x^i is primitive over F_p.
+
+    A candidate is primitive when x^M = 1 and x^(M/l) != 1 for every prime
+    l | M, M = p^m - 1; x^E is read off a power of its companion matrix.
+    For m >= 2 the codes below p are skipped: x^m + c makes x^m = -c lie in
+    F_p^*, so the order of x divides m(p - 1) < M.
+    """
+    M = p ** m - 1
+    factors = [l for l, _ in factorize(M)]
+    for code in range(p if m > 1 else 1, M + 1):
+        if code % p == 0:
+            continue  # constant term 0: divisible by x
+        modulus = _monic(code, p, m)
+        squares = [_companion(modulus, p)]
+        for _ in range(M.bit_length() - 1):
+            squares.append(squares[-1] @ squares[-1] % p)
+        if _x_pow_is_one(squares, M, p) and not any(
+                _x_pow_is_one(squares, M // l, p) for l in factors):
+            return code
+    raise RuntimeError(f"no primitive polynomial found for p={p}, m={m}")
+
+
+# least_primitive_code(p, m) for every prime p and m >= 2 with
+# p^m <= MAX_FIELD_ORDER; a test re-derives every entry.
+PRIMITIVE_CODES = {
+    (2, 2): 3, (2, 3): 3, (2, 4): 3, (2, 5): 5, (2, 6): 3, (2, 7): 3,
+    (2, 8): 29, (2, 9): 17, (2, 10): 9, (2, 11): 5, (2, 12): 83, (2, 13): 27,
+    (2, 14): 43, (2, 15): 3, (2, 16): 45, (2, 17): 9, (2, 18): 39, (2, 19): 39,
+    (2, 20): 9, (3, 2): 5, (3, 3): 7, (3, 4): 5, (3, 5): 7, (3, 6): 5,
+    (3, 7): 16, (3, 8): 29, (3, 9): 64, (3, 10): 32, (3, 11): 16, (3, 12): 215,
+    (5, 2): 7, (5, 3): 17, (5, 4): 37, (5, 5): 22, (5, 6): 7, (5, 7): 17,
+    (5, 8): 38, (7, 2): 10, (7, 3): 23, (7, 4): 75, (7, 5): 11, (7, 6): 159,
+    (7, 7): 44, (11, 2): 18, (11, 3): 15, (11, 4): 13, (11, 5): 136,
+    (13, 2): 15, (13, 3): 19, (13, 4): 184, (13, 5): 54, (17, 2): 20,
+    (17, 3): 20, (17, 4): 28, (19, 2): 21, (19, 3): 23, (19, 4): 48,
+    (23, 2): 30, (23, 3): 26, (23, 4): 34, (29, 2): 32, (29, 3): 40,
+    (29, 4): 48, (31, 2): 43, (31, 3): 45, (31, 4): 79, (37, 2): 42,
+    (37, 3): 50, (41, 2): 53, (41, 3): 47, (43, 2): 46, (43, 3): 57,
+    (47, 2): 60, (47, 3): 51, (53, 2): 58, (53, 3): 58, (59, 2): 61,
+    (59, 3): 62, (61, 2): 63, (61, 3): 78, (67, 2): 79, (67, 3): 73,
+    (71, 2): 82, (71, 3): 79, (73, 2): 84, (73, 3): 86, (79, 2): 82,
+    (79, 3): 88, (83, 2): 85, (83, 3): 90, (89, 2): 95, (89, 3): 108,
+    (97, 2): 102, (97, 3): 104, (101, 2): 104, (101, 3): 104, (103, 2): 108,
+    (107, 2): 112, (109, 2): 115, (113, 2): 123, (127, 2): 130, (131, 2): 145,
+    (137, 2): 143, (139, 2): 141, (149, 2): 152, (151, 2): 163, (157, 2): 163,
+    (163, 2): 174, (167, 2): 172, (173, 2): 178, (179, 2): 186, (181, 2): 199,
+    (191, 2): 210, (193, 2): 198, (197, 2): 200, (199, 2): 205, (211, 2): 214,
+    (223, 2): 228, (227, 2): 232, (229, 2): 235, (233, 2): 236, (239, 2): 252,
+    (241, 2): 254, (251, 2): 270, (257, 2): 262, (263, 2): 270, (269, 2): 271,
+    (271, 2): 292, (277, 2): 288, (281, 2): 284, (283, 2): 286, (293, 2): 295,
+    (307, 2): 312, (311, 2): 328, (313, 2): 327, (317, 2): 322, (331, 2): 342,
+    (337, 2): 352, (347, 2): 354, (349, 2): 351, (353, 2): 366, (359, 2): 366,
+    (367, 2): 373, (373, 2): 379, (379, 2): 389, (383, 2): 388, (389, 2): 397,
+    (397, 2): 410, (401, 2): 418, (409, 2): 431, (419, 2): 421, (421, 2): 439,
+    (431, 2): 438, (433, 2): 438, (439, 2): 462, (443, 2): 450, (449, 2): 461,
+    (457, 2): 472, (461, 2): 463, (463, 2): 474, (467, 2): 473, (479, 2): 513,
+    (487, 2): 497, (491, 2): 499, (499, 2): 509, (503, 2): 522, (509, 2): 511,
+    (521, 2): 527, (523, 2): 525, (541, 2): 551, (547, 2): 552, (557, 2): 565,
+    (563, 2): 568, (569, 2): 572, (571, 2): 574, (577, 2): 587, (587, 2): 595,
+    (593, 2): 596, (599, 2): 606, (601, 2): 612, (607, 2): 610, (613, 2): 619,
+    (617, 2): 643, (619, 2): 621, (631, 2): 643, (641, 2): 647, (643, 2): 656,
+    (647, 2): 657, (653, 2): 667, (659, 2): 669, (661, 2): 663, (673, 2): 678,
+    (677, 2): 680, (683, 2): 688, (691, 2): 703, (701, 2): 704, (709, 2): 719,
+    (719, 2): 738, (727, 2): 758, (733, 2): 739, (739, 2): 761, (743, 2): 748,
+    (751, 2): 763, (757, 2): 763, (761, 2): 768, (769, 2): 790, (773, 2): 775,
+    (787, 2): 789, (797, 2): 805, (809, 2): 821, (811, 2): 821, (821, 2): 824,
+    (823, 2): 837, (827, 2): 833, (829, 2): 831, (839, 2): 850, (853, 2): 855,
+    (857, 2): 862, (859, 2): 861, (863, 2): 868, (877, 2): 882, (881, 2): 896,
+    (883, 2): 911, (887, 2): 897, (907, 2): 912, (911, 2): 948, (919, 2): 934,
+    (929, 2): 936, (937, 2): 948, (941, 2): 943, (947, 2): 966, (953, 2): 958,
+    (967, 2): 995, (971, 2): 977, (977, 2): 983, (983, 2): 994, (991, 2): 1002,
+    (997, 2): 1008, (1009, 2): 1020, (1013, 2): 1020, (1019, 2): 1025,
+    (1021, 2): 1031,
+}
+
+
 def _encode(rows: np.ndarray, p: int) -> np.ndarray:
     """int64 encodings sum_i rows[:, i] * p^i of coefficient rows."""
     enc = np.zeros(len(rows), dtype=np.int64)
@@ -177,22 +267,13 @@ class Field:
     def _find_modulus(self):
         """Smallest primitive monic polynomial in lex coefficient order.
 
-        A candidate is primitive when x^M = 1 and x^(M/l) != 1 for every
-        prime l | M; x^E is read off a power of its companion matrix.
+        The one place a modulus is chosen: read from PRIMITIVE_CODES when
+        m >= 2, found by least_primitive_code for a prime field.
+        _build_tables checks either kind on every build.
         """
-        p, m, M = self.p, self.m, self.mult_order
-        factors = [l for l, _ in factorize(M)]
-        for code in range(1, self.order):
-            if code % p == 0:
-                continue  # constant term 0: divisible by x
-            modulus = tuple(code // p ** i % p for i in range(m)) + (1,)
-            squares = [_companion(modulus, p)]
-            for _ in range(M.bit_length() - 1):
-                squares.append(squares[-1] @ squares[-1] % p)
-            if _x_pow_is_one(squares, M, p) and not any(
-                    _x_pow_is_one(squares, M // l, p) for l in factors):
-                return modulus
-        raise RuntimeError(f"no primitive polynomial found for p={p}, m={m}")
+        p, m = self.p, self.m
+        code = PRIMITIVE_CODES[p, m] if m > 1 else least_primitive_code(p, 1)
+        return _monic(code, p, m)
 
     def _build_tables(self):
         p, m, M = self.p, self.m, self.mult_order

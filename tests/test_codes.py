@@ -341,6 +341,24 @@ def test_non_coset_defining_set_raises():
         zero_trace_counts(bad)
 
 
+def test_frobenius_unstable_defining_set_raises():
+    # D = {1} in F_16 is one norm-kernel coset (q^f = q^k), but x -> x^2
+    # moves it, and the class gather would give Z_2 = 1 for a literal 0
+    tower = TowerSpec(2, 1, 4, 4)
+    field = tower.field()
+
+    def literal(D):
+        return [sum(field.trace((s + d) % 15, 4, 1) is None for d in D)
+                for s in range(15)]
+
+    assert literal([1]) == [1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1]
+    with pytest.raises(ValueError, match=r"not stable under x -> x\^q"):
+        zero_trace_counts(DefiningSet(tower, 0, None, np.array([1])))
+    # its Frobenius closure is accepted and counted exactly
+    closure = DefiningSet(tower, 0, None, np.array([1, 2, 4, 8]))
+    assert zero_trace_counts(closure).tolist() == literal([1, 2, 4, 8])
+
+
 def test_pless_moment_guard():
     ds = build_defining_set(TowerSpec(2, 1, 2, 4), 1)
     zeros = zero_trace_counts(ds)

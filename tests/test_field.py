@@ -1,14 +1,18 @@
 """Field table construction, arithmetic, traces, norms, subfield maps."""
 
+import json
 import subprocess
 import sys
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from towercodes.field import (MAX_FIELD_ORDER, Field, TowerSpec,
-                              check_field_budget, factorize, get_field,
-                              is_prime)
+from towercodes.cli import main
+from towercodes.field import (MAX_FIELD_ORDER, PRIMITIVE_CODES, Field,
+                              TowerSpec, check_field_budget, factorize,
+                              get_field, is_prime, least_primitive_code)
 
 
 # Reproducible moduli: smallest primitive polynomial in lex coefficient
@@ -164,6 +168,46 @@ def test_table_build_rejects_bad_moduli(monkeypatch):
         Field(2, 1)
 
 
+# -- the table of moduli ---------------------------------------------------
+
+
+def test_primitive_codes_cover_exactly_the_non_prime_fields():
+    want = {(p, m) for p in range(2, isqrt(MAX_FIELD_ORDER) + 1)
+            if is_prime(p) for m in range(2, MAX_FIELD_ORDER.bit_length())
+            if p ** m <= MAX_FIELD_ORDER}
+    assert len(want) == 242
+    assert set(PRIMITIVE_CODES) == want
+
+
+def test_every_tabulated_code_equals_the_search():
+    assert {key: least_primitive_code(*key) for key in PRIMITIVE_CODES} \
+        == PRIMITIVE_CODES
+
+
+@pytest.mark.parametrize("p", [101, 257, 1021])
+def test_search_matches_literal_modulus_past_small_primes(p):
+    code = least_primitive_code(p, 2)
+    assert (code % p, code // p, 1) == literal_modulus(p, 2)
+    assert PRIMITIVE_CODES[p, 2] == code
+
+
+def test_table_build_rejects_a_bad_table_entry(monkeypatch):
+    # x^4 + x^3 + x^2 + x + 1: irreducible over F_2, but x has order 5
+    monkeypatch.setitem(PRIMITIVE_CODES, (2, 4), 0b1111)
+    with pytest.raises(RuntimeError, match="cycle repeats"):
+        Field(2, 4)
+
+
+def test_field_command_prints_the_searched_modulus(capsys):
+    # the tabulated field with the largest p; this output is the one the
+    # search gave before the table existed
+    assert main(["field", "--p", "1021", "--e", "1", "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps({"p": 1021, "e": 1, "k": 2, "m": 2,
+                              "order": 1042441, "modulus": [10, 1, 1],
+                              "subfield_degrees": [1, 2]}, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("p,m", fields_up_to(1 << 12))
 def test_trace_tables_match_scalar_trace(p, m):
     F = Field(p, m)
@@ -213,6 +257,29 @@ def test_inverse_and_power_identities(p, m):
         assert F.sub(x, x) is None
         assert F.pow(x, 0) == F.one
     assert F.pow(None, 3) is None
+
+
+# fields drawn from the table: every modulus there is checked only by the
+# table build, so the axioms are checked on top of it
+TABLE_FIELDS = sorted(key for key in PRIMITIVE_CODES
+                      if key[0] ** key[1] <= 1 << 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(TABLE_FIELDS), data=st.data())
+def test_field_axioms_on_tabulated_fields(key, data):
+    F = get_field(*key)
+    element = st.none() | st.integers(0, F.mult_order - 1)
+    x, y, z = (data.draw(element) for _ in range(3))
+    assert F.add(F.add(x, y), z) == F.add(x, F.add(y, z))
+    assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
+    assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+    assert F.add(x, F.neg(x)) is None
+    if x is not None:
+        assert F.mul(x, F.inv(x)) == F.one
+    # Frobenius x -> x^p is additive
+    p = F.p
+    assert F.pow(F.add(x, y), p) == F.add(F.pow(x, p), F.pow(y, p))
 
 
 def test_zero_division_errors():
