@@ -9,11 +9,19 @@ F_p <= F_q <= F_{q^f} <= F_{q^k}:
 and the code is C_D = {(Tr_{q^k/q}(b d))_{d in D} : b in F_{q^k}}.  Elements
 of D are kept as alpha-exponents in increasing order, in a read-only int64
 array, which fixes the coordinate permutation and makes codeword-level
-results reproducible.  D is one vectorized scan of the subfield trace
-table, and puncturing keeps s mod (q^k-1)/(q-1), the least exponent of each
-F_q^*-orbit, read off one bincount of those residues.  The field budget of
-field.py bounds every code: the top field is built, and refused above the
-budget, before any enumeration.
+results reproducible.
+
+Every route here but codeword, an oracle on the Field tables, reads only
+the trace sequence of F_{q^k} (field.trace_sequence) and exponent
+arithmetic; no log or Zech table is built.  With g = alpha^L,
+L = (q^k-1)/(q^f-1), Tr_{q^f/q}(g^c) is the sum of the conjugates
+g^(c q^j), j < f, so its window code is the digit-wise sum of theirs (XOR
+when p = 2), exact for every tower, p | k/f included.  D is one vectorized
+comparison of those codes with the code of -a, and a keeps its
+alpha-exponent.  Puncturing keeps s mod (q^k-1)/(q-1), the least exponent
+of each F_q^*-orbit, read off one bincount of those residues.  The field
+budget of field.py bounds every code: the sequence of the top field is
+refused above the budget before any work.
 
 Enumeration covers all q^k values of b: the weight of c_b for b = alpha^s
 is |D| minus Z_s, the number of d in D with Tr(alpha^(s+d)) = 0.  D is a
@@ -34,16 +42,18 @@ g = gcd(sigma, Mf) = N gcd(k/f, q-1), N = (q^f-1)/(q-1).  And x -> x^q
 fixes a, maps D onto itself and keeps Tr(x) = 0, so Z_(qs) = Z_s (x -> x^p
 moves a when q > p, so p would not do); a set that is not stable is
 refused, after one gather checks that D mod Mf is closed under times q.
-One pass over the trace-zero table gives N0, a vectorized gather computes
-Z only at the least member of each class {q^i t mod g} (about g/f
+One pass over the trace-zero indicator gives N0, a vectorized gather
+computes Z only at the least member of each class {q^i t mod g} (about g/f
 classes), and gathering every t's class sum by its least member and
 tiling gives all M counts:
 O(M + (g/f) |D mod Mf|) work instead of O(M |D|).  A punctured set is
 expanded back to its F_q^* orbits first; the trace is F_q-linear, so the
 counts divide exactly by q - 1.  The histogram over b is then deduplicated
 by the kernel of b -> c_b, so repeated codewords (when the map is not
-injective) are counted once, and its first moment is checked against the
-Pless identity.
+injective) are counted once, and its first two moments are checked against
+the Pless identities (Huffman-Pless, *Fundamentals of Error-Correcting
+Codes*, ch. 7); the second counts B_2, the weight-2 dual words, from the
+sizes of the F_q^*-orbits in D.
 """
 
 import os
@@ -54,7 +64,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .field import Element, TowerSpec
+from .field import (Element, TowerSpec, relative_trace_codes,
+                    subfield_element, trace_zero_indicator)
 
 _CHUNK_CELLS = 1 << 20  # bound on rows*|H| per vectorized block
 
@@ -86,14 +97,16 @@ def build_defining_set(tower: TowerSpec, a_index: int) -> DefiningSet:
     """Enumerate D in increasing alpha-exponent order.
 
     `a_index` selects a in F_q as an integer in [0, q): 0 is the zero shift,
-    nonzero values map through base-p digits over the subfield basis.
+    nonzero values map through base-p digits over the subfield basis.  -a
+    has the negated digits, and Tr(x^L) = -a exactly where the window code
+    of the subfield trace equals the code of -a.
     """
-    field = tower.field()
-    q, f = tower.q, tower.f
-    a = field.subfield_element_from_index(a_index, tower.e)
-    target = -1 if a is None else field.neg(a)  # -1: the tables' zero
-    sub_traces = field.trace_exp_subtable(tower.e * f, tower.e)
-    hits = np.flatnonzero(sub_traces == target)
+    p, q, e, f = tower.p, tower.q, tower.e, tower.f
+    a, _ = subfield_element(p, tower.m, e, a_index)
+    neg = sum(-(a_index // p ** j) % p * p ** j for j in range(e))
+    _, target = subfield_element(p, tower.m, e, neg)
+    hits = np.flatnonzero(relative_trace_codes(p, tower.m, e * f, e)
+                          == target)
     if hits.size == 0:
         raise ValueError(
             f"defining set is empty for q={q}, f={f}, k={tower.k}, "
@@ -101,6 +114,11 @@ def build_defining_set(tower: TowerSpec, a_index: int) -> DefiningSet:
     reps = np.arange(tower.norm_exp, dtype=np.int64) * (q ** f - 1)
     return DefiningSet(tower, a_index, a,
                        np.sort((reps[:, None] + hits).ravel()))
+
+
+def _orbit_step(tower: TowerSpec) -> int:
+    """(q^k - 1) / (q - 1): alpha to this power generates F_q^*."""
+    return (tower.q ** tower.k - 1) // (tower.q - 1)
 
 
 def codeword(ds: DefiningSet, b: Element) -> List[Element]:
@@ -125,8 +143,7 @@ def puncture(ds: DefiningSet) -> DefiningSet:
         raise ValueError("puncturing requires the a = 0 defining set")
     if ds.punctured:
         return ds
-    step = ds.tower.field().subfield_exp(ds.tower.e)
-    orbits = np.bincount(ds.elements % step)
+    orbits = np.bincount(ds.elements % _orbit_step(ds.tower))
     return DefiningSet(ds.tower, ds.a_index, ds.a, np.flatnonzero(orbits),
                        punctured=True)
 
@@ -186,11 +203,10 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
     every built defining set has, and the one the class gather relies on.
     """
     tower = ds.tower
-    field = tower.field()
-    M = field.mult_order
     q = tower.q
+    M = q ** tower.k - 1
     Mf = q ** tower.f - 1
-    step = field.subfield_exp(tower.e)  # alpha**step generates F_q^*
+    step = _orbit_step(tower)
     D = ds.elements
     if ds.punctured:
         D = (D[:, None] + step * np.arange(q - 1)).ravel()
@@ -201,8 +217,8 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
         raise ValueError(f"{ds!r} is not a union of norm-kernel cosets")
     if not per_class[H * q % Mf].all():
         raise ValueError(f"{ds!r} is not stable under x -> x^q")
-    N0 = field.trace_zero_indicator(tower.e).reshape(-1, Mf).sum(
-        axis=0, dtype=np.int64)
+    N0 = trace_zero_indicator(tower.p, tower.m, tower.e).reshape(
+        -1, Mf).sum(axis=0, dtype=np.int64)
     # Z_s has period g (F_q^*-scaling) and Z_(qs) = Z_s (q-Frobenius), so
     # one shift per class of t -> q t mod g is summed
     g = gcd(step, Mf)
@@ -275,4 +291,16 @@ def brute_weight_distribution(ds: DefiningSet, workers: int = 1,
     if q * sum(w * c for w, c in counts.items()) != n * (q - 1) * q ** dim:
         raise RuntimeError("first Pless moment fails: sum w*A_w != "
                            "n(q-1)q^(dim-1)")
+    # second Pless moment, times q^2: two coordinates d, d' carry
+    # proportional columns exactly when d' = lambda d, lambda in F_q^*, and
+    # each such pair gives q - 1 dual words of weight 2, so B_2 is q - 1
+    # times sum_c C(c, 2) over the orbit counts c; F_2^* = {1} leaves none
+    B2 = 0
+    if q > 2:
+        orbits = np.bincount(ds.elements % _orbit_step(tower))
+        B2 = (q - 1) * (int(orbits @ orbits) - n) // 2
+    if q * q * sum(w * w * c for w, c in counts.items()) != \
+            q ** dim * ((q - 1) * n * ((q - 1) * n + 1) + 2 * B2):
+        raise RuntimeError("second Pless moment fails: q^2 sum w^2*A_w != "
+                           "q^dim [(q-1)n((q-1)n+1) + 2 B_2]")
     return WeightDistribution(n, dim, counts, q)

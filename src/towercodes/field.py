@@ -1,4 +1,5 @@
-"""Finite fields F_{p^m} with Zech-logarithm tables.
+"""Finite fields F_{p^m}: the absolute-trace m-sequence, and Field with
+Zech-logarithm tables.
 
 Elements are represented in exponent form relative to a fixed primitive
 element alpha: ``None`` is the zero element and an integer ``t`` in
@@ -14,28 +15,40 @@ such field within the budget (Lidl-Niederreiter, *Finite Fields*, ch. 10).
 A prime field's modulus is searched, and the same search is the reference
 that re-derives the table in the tests: a candidate is tested on powers of
 its companion matrix C (the matrix of multiplication by x), x^M = 1 and
-x^(M/l) != 1 for every prime l | M, M = p^m - 1.  Either way the table
-build checks that the powers of alpha hit every nonzero element once and
-close at alpha^M = 1, so a wrong modulus cannot pass.  Subfields F_{p^d} for
-``d | m`` live inside the table as the exponents divisible by
-``(p^m - 1) / (p^d - 1)``; relative traces and norms between any two nested
-subfields are supported directly.
+x^(M/l) != 1 for every prime l | M, M = p^m - 1.  primitive_modulus is the
+one source of a modulus, and both builds below check that the powers of
+alpha hit every nonzero element once and close at alpha^M = 1, so a wrong
+modulus cannot pass.  Subfields F_{p^d} for ``d | m`` live inside the field
+as the exponents divisible by ``(p^m - 1) / (p^d - 1)``; relative traces and
+norms between any two nested subfields are supported directly.
 
-Every table is built by exact integer numpy work (Lidl-Niederreiter,
-*Finite Fields*, ch. 2-3).  The coefficient rows of alpha^t come by
+The enumeration and closed-form routes read only traces of powers of
+alpha, and t -> Tr(alpha^t) is the m-sequence of the modulus, whose
+length-m windows are the coordinates of alpha^t in the dual basis
+(Lidl-Niederreiter, ch. 8; Golomb, *Shift Register Sequences*).
+trace_sequence builds it from Newton's identities and the modulus's
+recurrence, advanced by doubling, in O(M m) work and two int64 arrays.  The
+window code of a sum is the digit-wise sum of the codes, so relative traces
+(relative_trace_codes), trace-zero indicators (trace_zero_indicator) and
+subfield elements by index (subfield_element) follow with no log or Zech
+table.  Each is cached per field and degree.
+
+Field keeps the tables for scalar arithmetic, Gauss sums and the oracles
+(Lidl-Niederreiter, ch. 2-3).  The coefficient rows of alpha^t come by
 doubling: rows [n, 2n) are rows [0, n) times C^n mod p, so the whole table
 takes about log2(M) matrix products.  The log table is one scatter of the
 row encodings and the Zech table one gather, since 1 + alpha^t changes only
 the constant coefficient.  The relative trace table of a subfield sums the
-coefficient rows of the Frobenius conjugates; the trace-zero indicator
-follows from the absolute trace table by linearity.  Both are cached per
-field and degree.
+coefficient rows of the Frobenius conjugates, cached per degree pair; the
+absolute trace and the trace-zero indicators are the shared sequence
+arrays.
 
-Every table is a read-only int64 numpy array, and -1 stands for the zero
-element wherever a table holds exponents (log, Zech and trace tables).  The
-scalar methods read single entries with ``.item()``, so the elements they
-return are plain Python ``int`` or ``None``.  One size budget,
-MAX_FIELD_ORDER, bounds every field and is checked before any table work.
+Every table is a read-only int64 numpy array (the trace-zero indicators
+are uint8), and -1 stands for the zero element wherever a table holds
+exponents (log, Zech and trace tables).  The scalar methods read single
+entries with ``.item()``, so the elements they return are plain Python
+``int`` or ``None``.  One size budget, MAX_FIELD_ORDER, bounds every field
+and is checked before any table or sequence work.
 """
 
 from __future__ import annotations
@@ -181,57 +194,222 @@ def least_primitive_code(p: int, m: int) -> int:
 
 
 # least_primitive_code(p, m) for every prime p and m >= 2 with
-# p^m <= MAX_FIELD_ORDER; a test re-derives every entry.
-PRIMITIVE_CODES = {
-    (2, 2): 3, (2, 3): 3, (2, 4): 3, (2, 5): 5, (2, 6): 3, (2, 7): 3,
-    (2, 8): 29, (2, 9): 17, (2, 10): 9, (2, 11): 5, (2, 12): 83, (2, 13): 27,
-    (2, 14): 43, (2, 15): 3, (2, 16): 45, (2, 17): 9, (2, 18): 39, (2, 19): 39,
-    (2, 20): 9, (3, 2): 5, (3, 3): 7, (3, 4): 5, (3, 5): 7, (3, 6): 5,
-    (3, 7): 16, (3, 8): 29, (3, 9): 64, (3, 10): 32, (3, 11): 16, (3, 12): 215,
-    (5, 2): 7, (5, 3): 17, (5, 4): 37, (5, 5): 22, (5, 6): 7, (5, 7): 17,
-    (5, 8): 38, (7, 2): 10, (7, 3): 23, (7, 4): 75, (7, 5): 11, (7, 6): 159,
-    (7, 7): 44, (11, 2): 18, (11, 3): 15, (11, 4): 13, (11, 5): 136,
-    (13, 2): 15, (13, 3): 19, (13, 4): 184, (13, 5): 54, (17, 2): 20,
-    (17, 3): 20, (17, 4): 28, (19, 2): 21, (19, 3): 23, (19, 4): 48,
-    (23, 2): 30, (23, 3): 26, (23, 4): 34, (29, 2): 32, (29, 3): 40,
-    (29, 4): 48, (31, 2): 43, (31, 3): 45, (31, 4): 79, (37, 2): 42,
-    (37, 3): 50, (41, 2): 53, (41, 3): 47, (43, 2): 46, (43, 3): 57,
-    (47, 2): 60, (47, 3): 51, (53, 2): 58, (53, 3): 58, (59, 2): 61,
-    (59, 3): 62, (61, 2): 63, (61, 3): 78, (67, 2): 79, (67, 3): 73,
-    (71, 2): 82, (71, 3): 79, (73, 2): 84, (73, 3): 86, (79, 2): 82,
-    (79, 3): 88, (83, 2): 85, (83, 3): 90, (89, 2): 95, (89, 3): 108,
-    (97, 2): 102, (97, 3): 104, (101, 2): 104, (101, 3): 104, (103, 2): 108,
-    (107, 2): 112, (109, 2): 115, (113, 2): 123, (127, 2): 130, (131, 2): 145,
-    (137, 2): 143, (139, 2): 141, (149, 2): 152, (151, 2): 163, (157, 2): 163,
-    (163, 2): 174, (167, 2): 172, (173, 2): 178, (179, 2): 186, (181, 2): 199,
-    (191, 2): 210, (193, 2): 198, (197, 2): 200, (199, 2): 205, (211, 2): 214,
-    (223, 2): 228, (227, 2): 232, (229, 2): 235, (233, 2): 236, (239, 2): 252,
-    (241, 2): 254, (251, 2): 270, (257, 2): 262, (263, 2): 270, (269, 2): 271,
-    (271, 2): 292, (277, 2): 288, (281, 2): 284, (283, 2): 286, (293, 2): 295,
-    (307, 2): 312, (311, 2): 328, (313, 2): 327, (317, 2): 322, (331, 2): 342,
-    (337, 2): 352, (347, 2): 354, (349, 2): 351, (353, 2): 366, (359, 2): 366,
-    (367, 2): 373, (373, 2): 379, (379, 2): 389, (383, 2): 388, (389, 2): 397,
-    (397, 2): 410, (401, 2): 418, (409, 2): 431, (419, 2): 421, (421, 2): 439,
-    (431, 2): 438, (433, 2): 438, (439, 2): 462, (443, 2): 450, (449, 2): 461,
-    (457, 2): 472, (461, 2): 463, (463, 2): 474, (467, 2): 473, (479, 2): 513,
-    (487, 2): 497, (491, 2): 499, (499, 2): 509, (503, 2): 522, (509, 2): 511,
-    (521, 2): 527, (523, 2): 525, (541, 2): 551, (547, 2): 552, (557, 2): 565,
-    (563, 2): 568, (569, 2): 572, (571, 2): 574, (577, 2): 587, (587, 2): 595,
-    (593, 2): 596, (599, 2): 606, (601, 2): 612, (607, 2): 610, (613, 2): 619,
-    (617, 2): 643, (619, 2): 621, (631, 2): 643, (641, 2): 647, (643, 2): 656,
-    (647, 2): 657, (653, 2): 667, (659, 2): 669, (661, 2): 663, (673, 2): 678,
-    (677, 2): 680, (683, 2): 688, (691, 2): 703, (701, 2): 704, (709, 2): 719,
-    (719, 2): 738, (727, 2): 758, (733, 2): 739, (739, 2): 761, (743, 2): 748,
-    (751, 2): 763, (757, 2): 763, (761, 2): 768, (769, 2): 790, (773, 2): 775,
-    (787, 2): 789, (797, 2): 805, (809, 2): 821, (811, 2): 821, (821, 2): 824,
-    (823, 2): 837, (827, 2): 833, (829, 2): 831, (839, 2): 850, (853, 2): 855,
-    (857, 2): 862, (859, 2): 861, (863, 2): 868, (877, 2): 882, (881, 2): 896,
-    (883, 2): 911, (887, 2): 897, (907, 2): 912, (911, 2): 948, (919, 2): 934,
-    (929, 2): 936, (937, 2): 948, (941, 2): 943, (947, 2): 966, (953, 2): 958,
-    (967, 2): 995, (971, 2): 977, (977, 2): 983, (983, 2): 994, (991, 2): 1002,
-    (997, 2): 1008, (1009, 2): 1020, (1013, 2): 1020, (1019, 2): 1025,
-    (1021, 2): 1031,
+# p^m <= MAX_FIELD_ORDER, written per prime as p -> (codes for m = 2, 3, ...)
+# and expanded into PRIMITIVE_CODES = {(p, m): code}; a test re-derives
+# every entry.
+_CODES_BY_PRIME = {
+    2: (3, 3, 3, 5, 3, 3, 29, 17, 9, 5, 83, 27, 43, 3, 45, 9, 39, 39, 9),
+    3: (5, 7, 5, 7, 5, 16, 29, 64, 32, 16, 215), 5: (7, 17, 37, 22, 7, 17, 38),
+    7: (10, 23, 75, 11, 159, 44), 11: (18, 15, 13, 136), 13: (15, 19, 184, 54),
+    17: (20, 20, 28), 19: (21, 23, 48), 23: (30, 26, 34), 29: (32, 40, 48),
+    31: (43, 45, 79), 37: (42, 50), 41: (53, 47), 43: (46, 57), 47: (60, 51),
+    53: (58, 58), 59: (61, 62), 61: (63, 78), 67: (79, 73), 71: (82, 79),
+    73: (84, 86), 79: (82, 88), 83: (85, 90), 89: (95, 108), 97: (102, 104),
+    101: (104, 104), 103: (108,), 107: (112,), 109: (115,), 113: (123,),
+    127: (130,), 131: (145,), 137: (143,), 139: (141,), 149: (152,),
+    151: (163,), 157: (163,), 163: (174,), 167: (172,), 173: (178,),
+    179: (186,), 181: (199,), 191: (210,), 193: (198,), 197: (200,),
+    199: (205,), 211: (214,), 223: (228,), 227: (232,), 229: (235,),
+    233: (236,), 239: (252,), 241: (254,), 251: (270,), 257: (262,),
+    263: (270,), 269: (271,), 271: (292,), 277: (288,), 281: (284,),
+    283: (286,), 293: (295,), 307: (312,), 311: (328,), 313: (327,),
+    317: (322,), 331: (342,), 337: (352,), 347: (354,), 349: (351,),
+    353: (366,), 359: (366,), 367: (373,), 373: (379,), 379: (389,),
+    383: (388,), 389: (397,), 397: (410,), 401: (418,), 409: (431,),
+    419: (421,), 421: (439,), 431: (438,), 433: (438,), 439: (462,),
+    443: (450,), 449: (461,), 457: (472,), 461: (463,), 463: (474,),
+    467: (473,), 479: (513,), 487: (497,), 491: (499,), 499: (509,),
+    503: (522,), 509: (511,), 521: (527,), 523: (525,), 541: (551,),
+    547: (552,), 557: (565,), 563: (568,), 569: (572,), 571: (574,),
+    577: (587,), 587: (595,), 593: (596,), 599: (606,), 601: (612,),
+    607: (610,), 613: (619,), 617: (643,), 619: (621,), 631: (643,),
+    641: (647,), 643: (656,), 647: (657,), 653: (667,), 659: (669,),
+    661: (663,), 673: (678,), 677: (680,), 683: (688,), 691: (703,),
+    701: (704,), 709: (719,), 719: (738,), 727: (758,), 733: (739,),
+    739: (761,), 743: (748,), 751: (763,), 757: (763,), 761: (768,),
+    769: (790,), 773: (775,), 787: (789,), 797: (805,), 809: (821,),
+    811: (821,), 821: (824,), 823: (837,), 827: (833,), 829: (831,),
+    839: (850,), 853: (855,), 857: (862,), 859: (861,), 863: (868,),
+    877: (882,), 881: (896,), 883: (911,), 887: (897,), 907: (912,),
+    911: (948,), 919: (934,), 929: (936,), 937: (948,), 941: (943,),
+    947: (966,), 953: (958,), 967: (995,), 971: (977,), 977: (983,),
+    983: (994,), 991: (1002,), 997: (1008,), 1009: (1020,), 1013: (1020,),
+    1019: (1025,), 1021: (1031,),
 }
+PRIMITIVE_CODES = {(p, m): code for p, codes in _CODES_BY_PRIME.items()
+                   for m, code in enumerate(codes, 2)}
+
+
+def primitive_modulus(p: int, m: int) -> Tuple[int, ...]:
+    """Coefficients, low degree first, of the modulus of F_{p^m}: read from
+    PRIMITIVE_CODES when m >= 2, found by least_primitive_code for a prime
+    field.  The one place a modulus is chosen."""
+    code = PRIMITIVE_CODES[p, m] if m > 1 else least_primitive_code(p, 1)
+    return _monic(code, p, m)
+
+
+@lru_cache(maxsize=None)
+def trace_sequence(p: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The absolute-trace m-sequence of F_{p^m} and its window codes, as
+    read-only int64 arrays over t < M = p^m - 1:
+
+        seq[t] = Tr(alpha^t),   windows[t] = sum_{i<m} seq[t+i] p^i.
+
+    windows[t] lists the coordinates Tr(alpha^t alpha^i) of alpha^t in the
+    dual basis, so t -> windows[t] is an F_p-linear bijection onto the
+    nonzero codes: the code of a sum is the digit-wise sum mod p of the
+    codes, and the code is 0 only for the zero element.
+
+    Cached per field.  Refused above the budget before any work; raises
+    RuntimeError when the M windows are not the codes 1 .. p^m - 1 each
+    once, or when the sequence does not return to seq[0] after M steps.
+    """
+    check_field_budget(p, m)
+    if not is_prime(p) or m < 1:
+        raise ValueError(f"no field F_{p}^{m}")
+    c = primitive_modulus(p, m)
+    M = p ** m - 1
+    total = M + m  # one full period, the wrapped windows and the closure
+    # sums of m products below p fit the dtype of every step
+    work = np.min_scalar_type(m * (p - 1) ** 2)
+    s = np.zeros(total, dtype=work)
+    # the recurrence s[t] = -sum_i c_i s[t-m+i] advances n steps at once
+    # through x^n mod modulus = sum_l k_l x^l: s[t+n] = sum_l k_l s[t+l].
+    # A first stretch of n + m - 1 values, n >= m - 1 a power of 2, comes
+    # term by term: Newton's identities give the power sums s[t], t <= m,
+    # of the roots alpha^(p^j), and the recurrence the rest.
+    n = 1 << max(m - 2, 0).bit_length()
+    first = [m % p]
+    for t in range(1, min(n + m - 1, total)):
+        acc = t * c[m - t] if t <= m else 0
+        for i in range(1, min(t - 1, m) + 1):
+            acc += c[m - i] * first[t - i]
+        first.append(-acc % p)
+    s[:len(first)] = first
+    Cn = _companion(c, p)  # row 0 of C^n is x^n mod modulus
+    for _ in range(n.bit_length() - 1):
+        Cn = Cn @ Cn % p
+
+    def advance(k, start, length):
+        # s[start : start + length] from the windows at t < length,
+        # start steps back
+        acc = np.zeros(length, dtype=work)
+        for l, kl in enumerate(k.tolist()):
+            if kl:
+                acc += s[l:l + length] * kl if kl > 1 else s[l:l + length]
+        np.remainder(acc, p, out=s[start:start + length])
+
+    while n + m - 1 < total:
+        # known: s[:n + m - 1]; then s[n:2n] at shift n, and the m - 1
+        # values past 2n at shift 2n, from windows t < m - 1 <= n
+        advance(Cn[0], n, min(n, total - n))
+        Cn = Cn @ Cn % p
+        if 2 * n < total:
+            advance(Cn[0], 2 * n, min(m - 1, total - 2 * n))
+        n *= 2
+    windows = s[m - 1:m - 1 + M].astype(np.int64)
+    for i in range(m - 2, -1, -1):
+        windows *= p
+        windows += s[i:i + M]
+    # M windows fill the M nonzero codes only if none repeats
+    seen = np.zeros(M + 1, dtype=bool)
+    seen[windows] = True
+    if seen[0] or not seen[1:].all():
+        raise RuntimeError("modulus is not primitive (cycle repeats)")
+    if not np.array_equal(s[M:], s[:m]):
+        raise RuntimeError("alpha cycle does not close at order p^m - 1")
+    seq = s[:M].astype(np.int64)
+    for table in (seq, windows):
+        table.flags.writeable = False
+    return seq, windows
+
+
+def _digit_sum(codes: List[np.ndarray], p: int, m: int) -> np.ndarray:
+    """Digit-wise sum mod p of base-p codes of m digits: the window code of
+    a sum of elements.  XOR when p = 2."""
+    if p == 2:
+        out = codes[0].copy()
+        for c in codes[1:]:
+            out ^= c
+        return out
+    rest = np.stack(codes)
+    out = np.zeros(rest.shape[1], dtype=np.int64)
+    for i in range(m):
+        out += rest.sum(axis=0) % p * p ** i
+        rest //= p
+    return out
+
+
+@lru_cache(maxsize=None)
+def relative_trace_codes(p: int, m: int, from_deg: int,
+                         to_deg: int) -> np.ndarray:
+    """Read-only int64 array over c < p^from_deg - 1: the window code of
+    Tr_{p^from_deg/p^to_deg}(g^c) in F_{p^m}, g = alpha^((p^m - 1) /
+    (p^from_deg - 1)); 0 exactly where the trace vanishes.  Cached.
+
+    The trace is the sum of the conjugates g^(c s^j), s = p^to_deg, so its
+    code is the digit-wise sum of theirs.  No division by from_deg / to_deg
+    is needed, so it is exact whether or not p divides it."""
+    if from_deg % to_deg or m % from_deg:
+        raise ValueError(f"degrees must nest: {to_deg} | {from_deg} | {m}")
+    _, windows = trace_sequence(p, m)
+    M, Mf = p ** m - 1, p ** from_deg - 1
+    u = np.arange(Mf, dtype=np.int64) * (M // Mf)
+    conjugates = []
+    for _ in range(from_deg // to_deg):
+        conjugates.append(windows[u])
+        u = u * p ** to_deg % M
+    codes = _digit_sum(conjugates, p, m)
+    codes.flags.writeable = False
+    return codes
+
+
+@lru_cache(maxsize=None)
+def trace_zero_indicator(p: int, m: int, to_deg: int) -> np.ndarray:
+    """Read-only uint8 array over exponents u < p^m - 1: 1 where the trace
+    of alpha^u down to F_{p^to_deg} vanishes.  Cached.
+
+    With g generating F_{p^to_deg}^*, the g^i (i < to_deg) are an F_p-basis
+    of F_{p^to_deg}, so Tr_{m/to_deg}(x) = 0 exactly when Tr_{m/1}(g^i x) = 0
+    for every i < to_deg.
+    """
+    if m % to_deg:
+        raise ValueError(f"degrees must nest: {to_deg} | {m}")
+    seq, _ = trace_sequence(p, m)
+    step = (p ** m - 1) // (p ** to_deg - 1)
+    zero = seq == 0
+    for i in range(1, to_deg):
+        zero &= np.roll(seq, -i * step) == 0
+    ind = zero.astype(np.uint8)
+    ind.flags.writeable = False
+    return ind
+
+
+@lru_cache(maxsize=None)
+def subfield_element(p: int, m: int, deg: int, index: int
+                     ) -> Tuple[Element, int]:
+    """Field(p, m).subfield_element_from_index(index, deg) and its window
+    code, from the trace sequence: the element sum_j d_j g^j over the
+    base-p digits d_j of index, g = alpha^step generating F_{p^deg}^*,
+    step = (p^m - 1) / (p^deg - 1).  Its code is the digit-wise sum of the
+    d_j-fold codes of g^j, and its exponent the one multiple of step whose
+    window holds that code.  Cached."""
+    if m % deg or not 0 <= index < p ** deg:
+        raise ValueError(f"index {index} out of range for subfield size "
+                         f"{p ** deg}")
+    if index == 0:
+        return None, 0
+    _, windows = trace_sequence(p, m)
+    step = (p ** m - 1) // (p ** deg - 1)
+    digits = [0] * m
+    for j in range(deg):
+        d = index // p ** j % p
+        if d:
+            w = windows.item(j * step)
+            for i in range(m):
+                digits[i] += d * (w // p ** i % p)
+    code = sum(x % p * p ** i for i, x in enumerate(digits))
+    return step * int(np.flatnonzero(windows[::step] == code)[0]), code
 
 
 def _encode(rows: np.ndarray, p: int) -> np.ndarray:
@@ -258,22 +436,16 @@ class Field:
         self.mult_order = self.order - 1
         self.modulus = self._find_modulus()
         self._build_tables()
-        self._abs_trace = None
-        self._zero_indicator: Dict[int, np.ndarray] = {}
         self._subtables: Dict[Tuple[int, int], np.ndarray] = {}
 
     # -- construction -------------------------------------------------
 
     def _find_modulus(self):
-        """Smallest primitive monic polynomial in lex coefficient order.
-
-        The one place a modulus is chosen: read from PRIMITIVE_CODES when
-        m >= 2, found by least_primitive_code for a prime field.
-        _build_tables checks either kind on every build.
+        """Smallest primitive monic polynomial in lex coefficient order,
+        from primitive_modulus, the source trace_sequence reads too.
+        _build_tables checks it on every build.
         """
-        p, m = self.p, self.m
-        code = PRIMITIVE_CODES[p, m] if m > 1 else least_primitive_code(p, 1)
-        return _monic(code, p, m)
+        return primitive_modulus(self.p, self.m)
 
     def _build_tables(self):
         p, m, M = self.p, self.m, self.mult_order
@@ -517,42 +689,14 @@ class Field:
         return tab
 
     def trace_zero_indicator(self, to_deg: int) -> np.ndarray:
-        """Read-only uint8 array over exponents u in [0, p^m - 1): 1 where
-        the trace of alpha^u down to F_{p^to_deg} vanishes.  Cached per
-        degree.
-
-        With g generating F_{p^to_deg}^*, the g^i (i < to_deg) are an
-        F_p-basis of F_{p^to_deg}, so Tr_{m/to_deg}(x) = 0 exactly when
-        Tr_{m/1}(g^i x) = 0 for every i < to_deg.
-        """
-        ind = self._zero_indicator.get(to_deg)
-        if ind is None:
-            self._check_degrees(self.m, to_deg)
-            tr = self.abs_trace_residues()
-            step = self.subfield_exp(to_deg)
-            zero = tr == 0
-            for i in range(1, to_deg):
-                zero &= np.roll(tr, -i * step) == 0
-            ind = zero.astype(np.uint8)
-            ind.flags.writeable = False
-            self._zero_indicator[to_deg] = ind
-        return ind
+        """The shared trace_zero_indicator(p, m, to_deg) of this field."""
+        self._check_degrees(self.m, to_deg)
+        return trace_zero_indicator(self.p, self.m, to_deg)
 
     def abs_trace_residues(self) -> np.ndarray:
         """Read-only int64 array over exponents u: Tr_{p^m/p}(alpha^u) as a
-        residue."""
-        if self._abs_trace is not None:
-            return self._abs_trace
-        p, m, M = self.p, self.m, self.mult_order
-        total = np.zeros(M, dtype=np.int64)
-        for i in range(m):
-            # Tr is F_p-linear: weight coefficient i by Tr(alpha^i)
-            tr_i = self.residue(self.trace(i % M, m, 1))
-            total += self._coeffs[:, i].astype(np.int64) * tr_i
-        total %= p
-        total.flags.writeable = False
-        self._abs_trace = total
-        return total
+        residue; the shared trace_sequence of this field."""
+        return trace_sequence(self.p, self.m)[0]
 
     def __repr__(self):
         return f"Field({self.p}, {self.m})"

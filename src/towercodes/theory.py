@@ -39,7 +39,7 @@ O(N) memory.  The literal Gauss-sum products stay in the tests as its oracle.
 
 The predicted distributions need only the multiset of T_c, and that needs
 only F_{q^f}, never F_{q^k}: coset_sum_counts reads the periods of the
-middle field's own generator.  Tr(g^(c + Nt)) = g^(Nt) Tr(g^c) with g^(Nt)
+middle field's own generator off its trace sequence, with no field table.  Tr(g^(c + Nt)) = g^(Nt) Tr(g^c) with g^(Nt)
 in F_q^*, so eta_c depends on c mod N only, and another generator
 g' = g^u, gcd(u, q^f - 1) = 1, has the periods eta'_c = eta_(uc mod N)
 with u prime to N.  Cyclic convolution commutes with the relabelling
@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .field import Element, Field, TowerSpec, get_field
+from .field import Element, Field, TowerSpec, trace_zero_indicator
 from .codes import DefiningSet, WeightDistribution, zero_trace_counts
 from .cyclotomic import CycloInt
 
@@ -82,31 +82,33 @@ def _exact_div(num: int, den: int) -> int:
 def coset_sums(tower: TowerSpec) -> Tuple[int, ...]:
     """T_c for c = 0 .. N-1, N = (q^f-1)/(q-1), as exact integers, indexed
     by the generator of F_{q^f} embedded in F_{q^k}: c_b, b = alpha^s,
-    reads T_(s mod N).  Builds the top field; the predicted distributions
-    need only coset_sum_counts."""
+    reads T_(s mod N).  Builds the top field's tables; the predicted
+    distributions need only coset_sum_counts."""
     ef = tower.e * tower.f
     return _convolved_periods(
-        tower, tower.field().trace_exp_subtable(ef, tower.e))
+        tower, tower.field().trace_exp_subtable(ef, tower.e) < 0)
 
 
 @lru_cache(maxsize=None)
 def coset_sum_counts(tower: TowerSpec) -> Tuple[Tuple[int, int], ...]:
     """The multiset of T_c as (T, number of cosets c) pairs, from the
-    periods of F_{q^f}'s own generator: no top field is built.  Distinct
-    T come in their first-seen order along that generator."""
+    periods of F_{q^f}'s own generator: the zero indicator of
+    Tr_{q^f/q}(alpha^c), read off the trace sequence of F_{q^f}.  No field
+    table is built, and no part of F_{q^k}.  Distinct T come in their
+    first-seen order along that generator."""
     ef = tower.e * tower.f
-    sub = get_field(tower.p, ef).trace_exp_subtable(ef, tower.e)
-    return tuple(Counter(_convolved_periods(tower, sub)).items())
+    return tuple(Counter(_convolved_periods(
+        tower, trace_zero_indicator(tower.p, ef, tower.e))).items())
 
 
-def _convolved_periods(tower: TowerSpec, sub: np.ndarray) -> Tuple[int, ...]:
-    """T_c = N (eta^{*r})[c] - (-1)^r for c < N, where sub[c] is the
-    exponent of Tr_{q^f/q}(g^c), -1 where it is zero."""
+def _convolved_periods(tower: TowerSpec, zero: np.ndarray) -> Tuple[int, ...]:
+    """T_c = N (eta^{*r})[c] - (-1)^r for c < N, where zero[c] is true
+    where Tr_{q^f/q}(g^c) vanishes."""
     q = tower.q
     N = (q ** tower.f - 1) // (q - 1)
     r = tower.k // tower.f - 1
     # the Gaussian periods eta_c, c < N, of the generator g
-    eta = np.where(sub[:N] < 0, q - 1, -1)
+    eta = np.where(zero[:N], q - 1, -1)
     # |eta^{*r}| <= (sum |eta|)^r entrywise, so int64 also holds N eta^{*r}
     exact = np.int64 if N * int(np.abs(eta).sum()) ** r < 1 << 62 else object
     eta = eta.astype(exact)

@@ -16,7 +16,8 @@ from towercodes.codes import (
     puncture,
     zero_trace_counts,
 )
-from towercodes.field import TowerSpec
+from towercodes import cli, field as field_module, theory
+from towercodes.field import Field, TowerSpec
 from towercodes.verify import _a_samples, grid_towers
 
 
@@ -365,6 +366,130 @@ def test_pless_moment_guard():
     zeros[0] += 1  # one codeword loses a nonzero coordinate
     with pytest.raises(RuntimeError, match="Pless"):
         brute_weight_distribution(ds, zeros=zeros)
+
+
+def test_second_pless_moment_guard():
+    # (2,1,2,6) a = 1 is [42, 6] with weights 20 and 24, kernel 1: moving
+    # one word from 20 to 21 and another from 20 to 19 keeps the total and
+    # sum w A_w, and raises sum w^2 A_w by 2
+    ds = build_defining_set(TowerSpec(2, 1, 2, 6), 1)
+    zeros = zero_trace_counts(ds)
+    brute_weight_distribution(ds, zeros=zeros.copy())
+    first, second = np.flatnonzero(len(ds) - zeros == 20)[:2]
+    zeros[first] -= 1
+    zeros[second] += 1
+    with pytest.raises(RuntimeError, match="second Pless moment"):
+        brute_weight_distribution(ds, zeros=zeros)
+
+
+def _dual_weight_two(ds):
+    # proportional coordinate pairs, counted on the coordinates themselves:
+    # d' = lambda d, lambda in F_q^* \ {1}, each pair q - 1 dual words
+    field, q = ds.tower.field(), ds.tower.q
+    D = set(ds.elements.tolist())
+    step = field.subfield_exp(ds.tower.e)
+    pairs = sum((d + i * step) % field.mult_order in D
+                for d in D for i in range(1, q - 1))
+    return (q - 1) * pairs // 2
+
+
+@pytest.mark.parametrize("tower", grid_towers(1 << 12),
+                         ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_second_pless_moment_holds_on_the_grid(tower):
+    sets = [build_defining_set(tower, a) for a in _a_samples(tower.q)]
+    if tower.f > 1:
+        full = build_defining_set(tower, 0)
+        sets += [full, puncture(full)]
+    q = tower.q
+    for ds in sets:
+        dist = brute_weight_distribution(ds)  # checks it, or raises
+        n = len(ds)
+        lhs = q * q * sum(w * w * c for w, c in dist.counts.items())
+        B2 = _dual_weight_two(ds)
+        assert lhs == q ** dist.dim * ((q - 1) * n * ((q - 1) * n + 1)
+                                       + 2 * B2), ds
+        if ds.punctured or q == 2:
+            assert B2 == 0
+        elif ds.a_index == 0:
+            assert B2 == (q - 1) * (q - 2) * n // 2
+
+
+def _table_route(tower, a_index):
+    """a and D from the log/Zech tables of the top field: the route the
+    trace sequence replaced, kept as its oracle."""
+    field = tower.field()
+    a = field.subfield_element_from_index(a_index, tower.e)
+    target = -1 if a is None else field.neg(a)
+    sub = field.trace_exp_subtable(tower.e * tower.f, tower.e)
+    hits = np.flatnonzero(sub == target)
+    reps = np.arange(tower.norm_exp, dtype=np.int64) * (tower.q ** tower.f - 1)
+    return a, np.sort((reps[:, None] + hits).ravel())
+
+
+# towers where p divides k/f: the relative trace is not (k/f)^-1 times the
+# absolute one there, so no shortcut through the absolute trace applies
+P_DIVIDES_K_OVER_F = [TowerSpec(2, 1, 2, 8), TowerSpec(3, 1, 2, 6),
+                      TowerSpec(2, 2, 2, 4)]
+
+
+def test_table_route_grid_has_the_p_dividing_k_over_f_towers():
+    for tower in P_DIVIDES_K_OVER_F:
+        assert tower in grid_towers(1 << 12)
+        assert (tower.k // tower.f) % tower.p == 0
+
+
+@pytest.mark.parametrize("tower", grid_towers(1 << 12),
+                         ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_defining_set_equals_the_table_route(tower):
+    for a_index in range(tower.q):
+        a, elements = _table_route(tower, a_index)
+        if elements.size == 0:
+            with pytest.raises(ValueError, match="defining set is empty"):
+                build_defining_set(tower, a_index)
+            continue
+        ds = build_defining_set(tower, a_index)
+        assert ds.a == a and type(ds.a) is type(a)
+        assert np.array_equal(ds.elements, elements), (tower, a_index)
+
+
+# the towers of the benchmark's enumerate and closed_form workloads
+ENUMERATE_TOWERS = [(2, 1, 2, 12), (2, 1, 2, 14), (2, 1, 3, 12),
+                    (2, 2, 2, 6), (3, 1, 2, 8), (5, 1, 2, 6)]
+CLOSED_FORM_TOWERS = [(2, 1, 6, 12), (3, 1, 4, 8), (2, 2, 4, 8),
+                      (2, 1, 5, 15), (2, 1, 2, 16), (5, 1, 3, 6),
+                      (2, 1, 5, 10), (3, 1, 2, 10), (3, 1, 3, 9),
+                      (2, 1, 3, 15), (2, 4, 2, 4)]
+
+
+def test_code_search_and_predictions_build_no_field(monkeypatch, capsys):
+    built = []
+    init = Field.__init__
+
+    def spy(self, p, m):
+        built.append((p, m))
+        init(self, p, m)
+
+    monkeypatch.setattr(Field, "__init__", spy)
+    # empty caches, so that a table the requests read would be built here
+    for cache in (field_module.get_field, theory.coset_sums,
+                  theory.coset_sum_counts):
+        cache.cache_clear()
+    for p, e, f, k in ENUMERATE_TOWERS:
+        argv = ["code", "--p", str(p), "--e", str(e), "--f", str(f),
+                "--k", str(k)]
+        for extra in (["--a", "0"], ["--a", "1"], ["--a", "0", "--punctured"]):
+            assert cli.main(argv + extra) == 0
+    assert cli.main(["search", "--budget", "64"]) == 0
+    for spec in CLOSED_FORM_TOWERS:
+        tower = TowerSpec(*spec)
+        theory.predicted_distribution(tower, 0)
+        if tower.gcd_condition():
+            theory.predicted_distribution(tower, 1)
+    capsys.readouterr()
+    assert built == []
+    # the spy sees a build
+    Field(2, 3)
+    assert built == [(2, 3)]
 
 
 def test_budget_guard():

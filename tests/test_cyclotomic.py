@@ -3,10 +3,12 @@
 import cmath
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from towercodes.cyclotomic import (
     AddChar,
     CycloInt,
+    _conv_schoolbook,
     MultChar,
     davenport_hasse_lift,
     euler_phi,
@@ -48,6 +50,40 @@ def test_ring_identities(n):
             assert (a * b).conj() == a.conj() * b.conj()
             for c in xs[:4]:
                 assert a * (b + c) == a * b + a * c
+
+
+# orders on both sides of the schoolbook/Kronecker switch at n = 128, and
+# coefficient bounds that pick 16-, 32- and 64-bit Kronecker digits and,
+# past 2^62, the schoolbook product again
+RING_ORDERS = (1, 2, 3, 4, 6, 12, 15, 30, 129, 255)
+COEFF_BOUNDS = (3, 20, 2 ** 20, 2 ** 40, 2 ** 70)
+
+
+@st.composite
+def ring_elements(draw, count):
+    """count elements of one drawn Z[zeta_n]."""
+    n = draw(st.sampled_from(RING_ORDERS))
+    size = draw(st.sampled_from(COEFF_BOUNDS))
+    coeff = st.integers(-size, size)
+    return [CycloInt(n, draw(st.lists(coeff, min_size=n, max_size=n)))
+            for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_elements(3))
+def test_ring_laws_hold_for_drawn_elements(elements):
+    a, b, c = elements
+    n = a.n
+    # products are the exact cyclic convolution, coefficient by coefficient
+    assert list((a * b).coeffs) == _conv_schoolbook(n, a.coeffs, b.coeffs)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) + c == a + (b + c)
+    # conj is an involution and a ring map, exactly on the coefficients
+    assert a.conj().conj().coeffs == a.coeffs
+    assert (a * b).conj().coeffs == (a.conj() * b.conj()).coeffs
+    assert (a + b).conj().coeffs == (a.conj() + b.conj()).coeffs
 
 
 def test_root_goldens():

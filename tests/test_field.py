@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from towercodes import field as field_module
 from towercodes.cli import main
 from towercodes.field import (MAX_FIELD_ORDER, PRIMITIVE_CODES, Field,
                               TowerSpec, check_field_budget, factorize,
-                              get_field, is_prime, least_primitive_code)
+                              get_field, is_prime, least_primitive_code,
+                              relative_trace_codes, subfield_element,
+                              trace_sequence, trace_zero_indicator)
 
 
 # Reproducible moduli: smallest primitive polynomial in lex coefficient
@@ -225,6 +228,78 @@ def test_trace_tables_match_scalar_trace(p, m):
         ind = F.trace_zero_indicator(d)
         want = [1 if t < 0 else 0 for t in F.trace_exp_subtable(m, d)]
         assert ind.tolist() == want
+
+
+# -- the trace m-sequence ---------------------------------------------------
+
+
+def coefficient_row_traces(F):
+    """Tr(alpha^t) for every t, as the coefficient rows of the table build
+    weighted by the scalar traces Tr(alpha^i), i < m (Tr is F_p-linear)."""
+    M = F.mult_order
+    tr = np.array([F.residue(F.trace(i % M, F.m, 1)) for i in range(F.m)],
+                  dtype=np.int64)
+    return F._coeffs.astype(np.int64) @ tr % F.p
+
+
+@pytest.mark.parametrize("p,m", fields_up_to(1 << 16) + [(2, 20)])
+def test_trace_sequence_equals_coefficient_rows(p, m):
+    F = Field(p, m)
+    want = coefficient_row_traces(F)
+    seq, windows = trace_sequence(p, m)
+    assert np.array_equal(seq, want)
+    # the windows are the dual-basis coordinates Tr(alpha^(t+i)), i < m
+    t = np.arange(F.mult_order)
+    codes = sum(want[(t + i) % F.mult_order] * p ** i for i in range(m))
+    assert np.array_equal(windows, codes)
+    for table in (seq, windows):
+        assert table.dtype == np.int64 and not table.flags.writeable
+    assert trace_sequence(p, m)[0] is seq and F.abs_trace_residues() is seq
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS + [(2, 6), (3, 4), (13, 2)])
+def test_trace_sequence_matches_scalar_trace(p, m):
+    F = Field(p, m)
+    seq, windows = trace_sequence(p, m)
+    M = F.mult_order
+    scalar = [F.residue(F.trace(t, m, 1)) for t in range(M)]
+    assert seq.tolist() == scalar
+    assert windows.tolist() == [
+        sum(scalar[(t + i) % M] * p ** i for i in range(m)) for t in range(M)]
+
+
+@pytest.mark.parametrize("p,m", fields_up_to(1 << 8) + [(13, 2)])
+def test_sequence_subfield_maps_match_the_tables(p, m):
+    F = Field(p, m)
+    _, windows = trace_sequence(p, m)
+    degrees = [d for d in range(1, m + 1) if m % d == 0]
+    for hi in degrees:
+        for lo in (d for d in degrees if hi % d == 0):
+            tab = F.trace_exp_subtable(hi, lo)
+            want = np.where(tab < 0, 0, windows[np.maximum(tab, 0)])
+            assert np.array_equal(relative_trace_codes(p, m, hi, lo), want)
+        assert F.trace_zero_indicator(hi) is trace_zero_indicator(p, m, hi)
+        for i in range(p ** hi):
+            x = F.subfield_element_from_index(i, hi)
+            code = 0 if x is None else windows.item(x)
+            assert subfield_element(p, m, hi, i) == (x, code)
+
+
+def test_trace_sequence_rejects_bad_moduli(monkeypatch):
+    build = trace_sequence.__wrapped__  # the cache would hide the modulus
+    # x^4 + x^3 + x^2 + x + 1: irreducible over F_2, but x has order 5
+    monkeypatch.setitem(PRIMITIVE_CODES, (2, 4), 0b1111)
+    with pytest.raises(RuntimeError, match="cycle repeats"):
+        build(2, 4)
+    # x: the one window is the one nonzero code, but x^1 = 0 != 1
+    monkeypatch.setattr(field_module, "least_primitive_code",
+                        lambda p, m: 0)
+    with pytest.raises(RuntimeError, match="does not close"):
+        build(2, 1)
+    with pytest.raises(ValueError, match="exceeds budget"):
+        build(2, 21)
+    with pytest.raises(ValueError, match="no field"):
+        build(4, 2)
 
 
 def test_frozen_moduli():
