@@ -1,5 +1,5 @@
 """Finite fields F_{p^m}: the absolute-trace m-sequence, and Field with
-Zech-logarithm tables.
+Zech-logarithm tables built from it.
 
 Elements are represented in exponent form relative to a fixed primitive
 element alpha: ``None`` is the zero element and an integer ``t`` in
@@ -16,7 +16,7 @@ A prime field's modulus is searched, and the same search is the reference
 that re-derives the table in the tests: a candidate is tested on powers of
 its companion matrix C (the matrix of multiplication by x), x^M = 1 and
 x^(M/l) != 1 for every prime l | M, M = p^m - 1.  primitive_modulus is the
-one source of a modulus, and both builds below check that the powers of
+one source of a modulus, and trace_sequence checks that the powers of
 alpha hit every nonzero element once and close at alpha^M = 1, so a wrong
 modulus cannot pass.  Subfields F_{p^d} for ``d | m`` live inside the field
 as the exponents divisible by ``(p^m - 1) / (p^d - 1)``; relative traces and
@@ -33,13 +33,15 @@ window code of a sum is the digit-wise sum of the codes, so relative traces
 subfield elements by index (subfield_element) follow with no log or Zech
 table.  Each is cached per field and degree.
 
-Field keeps the tables for scalar arithmetic, Gauss sums and the oracles
-(Lidl-Niederreiter, ch. 2-3).  The coefficient rows of alpha^t come by
-doubling: rows [n, 2n) are rows [0, n) times C^n mod p, so the whole table
-takes about log2(M) matrix products.  The log table is one scatter of the
-row encodings and the Zech table one gather, since 1 + alpha^t changes only
-the constant coefficient.  The relative trace table of a subfield sums the
-coefficient rows of the Frobenius conjugates, cached per degree pair; the
+Field keeps log and Zech tables for scalar arithmetic, Gauss sums and the
+oracles (Lidl-Niederreiter, ch. 2-3), read off the same sequence:
+coefficient j of x over the basis 1, alpha, ..., alpha^(m-1) is
+Tr(beta_j x) for the dual basis element beta_j, the power of alpha whose
+window code is p^j, so the encoding of alpha^t comes from m shifted copies
+of the sequence.  The log table is one scatter of the encodings and the
+Zech table one gather, since 1 + alpha^t changes only the constant
+coefficient.  The relative trace table of a subfield is the digit-wise sum
+of the encodings of the Frobenius conjugates, cached per degree pair; the
 absolute trace and the trace-zero indicators are the shared sequence
 arrays.
 
@@ -132,17 +134,12 @@ def factorize(n: int) -> List[Tuple[int, int]]:
     return out
 
 
-# Rows of the alpha-power table multiplied per matrix product while the
-# table is built; bounds the temporaries to a few MB.
-_CHUNK_ROWS = 1 << 15
-
-
 def _companion(modulus, p: int) -> np.ndarray:
     """Matrix C of multiplication by x on coefficient rows (low degree
     first) modulo the monic `modulus`: v·C is the row of x·v.
 
     Entries are below p, so a product of two such m×m matrices sums to
-    less than m·p^2, which int64 holds for every field a table fits.
+    less than m·p^2, which int64 holds for every field within the budget.
     """
     m = len(modulus) - 1
     C = np.zeros((m, m), dtype=np.int64)
@@ -412,15 +409,6 @@ def subfield_element(p: int, m: int, deg: int, index: int
     return step * int(np.flatnonzero(windows[::step] == code)[0]), code
 
 
-def _encode(rows: np.ndarray, p: int) -> np.ndarray:
-    """int64 encodings sum_i rows[:, i] * p^i of coefficient rows."""
-    enc = np.zeros(len(rows), dtype=np.int64)
-    for i in reversed(range(rows.shape[1])):
-        enc *= p
-        enc += rows[:, i]
-    return enc
-
-
 class Field:
     """F_{p^m} with exp/log and Zech addition tables."""
 
@@ -434,55 +422,38 @@ class Field:
         self.m = m
         self.order = p ** m
         self.mult_order = self.order - 1
-        self.modulus = self._find_modulus()
+        self.modulus = primitive_modulus(p, m)
         self._build_tables()
         self._subtables: Dict[Tuple[int, int], np.ndarray] = {}
 
     # -- construction -------------------------------------------------
 
-    def _find_modulus(self):
-        """Smallest primitive monic polynomial in lex coefficient order,
-        from primitive_modulus, the source trace_sequence reads too.
-        _build_tables checks it on every build.
-        """
-        return primitive_modulus(self.p, self.m)
-
     def _build_tables(self):
         p, m, M = self.p, self.m, self.mult_order
-        C = _companion(self.modulus, p)
-        # coefficient rows V[t] of alpha^t over F_p, by doubling:
-        # V[n:2n] = V[:n] · C^n, then C^(2n) = (C^n)^2; products run in
-        # the smallest dtype that holds their sums, below m·p^2
-        V = np.zeros((M, m), dtype=np.min_scalar_type(p - 1))
-        V[0, 0] = 1
-        work = np.min_scalar_type(m * (p - 1) ** 2)
-        n, Cn = 1, C.astype(work)
-        while n < M:
-            for lo in range(0, min(n, M - n), _CHUNK_ROWS):
-                hi = min(lo + _CHUNK_ROWS, M - n, n)
-                V[n + lo:n + hi] = V[lo:hi].astype(work, copy=False) @ Cn % p
-            Cn = Cn @ Cn % p
-            n *= 2
-        # alpha^t stored as integer encodings sum(c_i * p^i) of the
-        # coefficient vector; dlog is the inverse lookup
-        enc = _encode(V, p)
+        seq, windows = trace_sequence(p, m)
+        # coefficient j of x over 1, alpha, ..., alpha^(m-1) is Tr(beta_j x)
+        # for the dual basis beta_j = alpha^d_j, the one exponent whose
+        # window code is p^j; so digit j of the encoding sum_j c_j p^j of
+        # alpha^t is seq[(t + d_j) mod M]
+        enc = np.zeros(M, dtype=np.int64)
+        for j in reversed(range(m)):
+            d = int(np.flatnonzero(windows == p ** j)[0])
+            enc *= p
+            enc[:M - d] += seq[d:]
+            enc[M - d:] += seq[:d]
         dlog = np.full(self.order, -1, dtype=np.int64)
         dlog[enc] = np.arange(M)
         # M powers fill the M nonzero encodings only if none repeats
         if not enc.all() or (dlog[1:] < 0).any():
             raise RuntimeError("modulus is not primitive (cycle repeats)")
-        if not np.array_equal(V[M - 1].astype(np.int64) @ C % p,
-                              np.eye(1, m, dtype=np.int64)[0]):
-            raise RuntimeError("alpha cycle does not close at order p^m - 1")
         # Zech table: 1 + alpha^t adds 1 to the constant coefficient, p - 1
         # wrapping to 0; the one t with alpha^t = -1 reaches encoding 0,
         # where dlog holds -1 for zero
         enc1 = enc + 1
-        enc1[V[:, 0] == p - 1] -= p
+        enc1[enc % p == p - 1] -= p
         zech = dlog[enc1]
-        for table in (V, enc, dlog, zech):
+        for table in (enc, dlog, zech):
             table.flags.writeable = False
-        self._coeffs = V
         self.alpha_powers = enc
         self._dlog = dlog
         self.zech = zech
@@ -668,7 +639,7 @@ class Field:
         exponent of the trace of g**i, -1 where it is zero, with g
         generating F_{p^from_deg}^*.  Cached per degree pair.
 
-        The trace of alpha^u is the sum of the coefficient rows of its
+        The trace of alpha^u is the digit-wise sum of the encodings of its
         conjugates alpha^(u s^j), s = p^to_deg, mapped back through dlog.
         """
         self._check_degrees(from_deg, to_deg)
@@ -676,14 +647,12 @@ class Field:
         if tab is None:
             p, M = self.p, self.mult_order
             Mf = p ** from_deg - 1
-            terms = from_deg // to_deg
             u = np.arange(Mf, dtype=np.int64) * (M // Mf)
-            rows = np.zeros((Mf, self.m),
-                            dtype=np.min_scalar_type(terms * (p - 1)))
-            for _ in range(terms):
-                rows += self._coeffs[u]
+            conjugates = []
+            for _ in range(from_deg // to_deg):
+                conjugates.append(self.alpha_powers[u])
                 u = u * p ** to_deg % M
-            tab = self._dlog[_encode(rows % p, p)]
+            tab = self._dlog[_digit_sum(conjugates, p, self.m)]
             tab.flags.writeable = False
             self._subtables[(from_deg, to_deg)] = tab
         return tab

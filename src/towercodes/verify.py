@@ -18,7 +18,7 @@ from .cyclotomic import (AddChar, MultChar, davenport_hasse_lift,
                          gauss_sum, gauss_sum_semiprimitive,
                          lifted_char_index, monomial_char_sum,
                          semiprimitive_exponent, unity_power_sums)
-from .field import TowerSpec, get_field, is_prime
+from .field import TowerSpec, get_field, is_prime, trace_zero_indicator
 from . import theory
 
 
@@ -382,7 +382,7 @@ def _grid_code(tower: TowerSpec, a_index: int, workers: int, tallies,
         shrunk.update({w // (q - 1): c for w, c in brute.counts.items() if w})
         # the kernel derives punctured counts from full orbits; recount a
         # few directly over the punctured elements, with no orbit expansion
-        z = tower.field().trace_zero_indicator(tower.e)
+        z = trace_zero_indicator(tower.p, tower.m, tower.e)
         M = z.size
         recount = all(int(pzeros[s]) == int(z[(s + pds.elements) % M].sum())
                       for s in {0, 1, M // 3, M - 1})

@@ -185,7 +185,7 @@ def test_tables_are_read_only():
     tower = TowerSpec(2, 2, 2, 4)
     field = tower.field()
     full = build_defining_set(tower, 0)
-    tables = [field.alpha_powers, field._dlog, field.zech, field._coeffs,
+    tables = [field.alpha_powers, field._dlog, field.zech,
               field.trace_exp_subtable(4, 2), field.abs_trace_residues(),
               field.trace_zero_indicator(2), full.elements,
               puncture(full).elements]

@@ -75,8 +75,8 @@ def test_tables_match_polynomial_arithmetic(p, m):
 # -- literal construction oracles --------------------------------------------
 #
 # Polynomial square-and-multiply for the modulus search and one LFSR step
-# per power of alpha for the tables, independent of the companion-matrix
-# doubling in field.py.
+# per power of alpha for the tables, independent of the trace m-sequence
+# that field.py builds the tables from.
 
 
 def literal_modulus(p, m):
@@ -160,13 +160,15 @@ def test_tables_match_literal_lfsr(p, m):
 
 
 def test_table_build_rejects_bad_moduli(monkeypatch):
+    trace_sequence.cache_clear()  # Field reads the cached sequence
     # x^4 + x^3 + x^2 + x + 1 is irreducible over F_2, but x has order 5
-    monkeypatch.setattr(Field, "_find_modulus", lambda self: (1, 1, 1, 1, 1))
+    monkeypatch.setitem(PRIMITIVE_CODES, (2, 4), 0b1111)
     with pytest.raises(RuntimeError, match="cycle repeats"):
         Field(2, 4)
     # x itself: the single power hits the single nonzero vector, but
     # alpha^1 = 0 does not close the cycle
-    monkeypatch.setattr(Field, "_find_modulus", lambda self: (0, 1))
+    monkeypatch.setattr(field_module, "least_primitive_code",
+                        lambda p, m: 0)
     with pytest.raises(RuntimeError, match="does not close"):
         Field(2, 1)
 
@@ -195,6 +197,7 @@ def test_search_matches_literal_modulus_past_small_primes(p):
 
 
 def test_table_build_rejects_a_bad_table_entry(monkeypatch):
+    trace_sequence.cache_clear()  # Field reads the cached sequence
     # x^4 + x^3 + x^2 + x + 1: irreducible over F_2, but x has order 5
     monkeypatch.setitem(PRIMITIVE_CODES, (2, 4), 0b1111)
     with pytest.raises(RuntimeError, match="cycle repeats"):
@@ -233,19 +236,55 @@ def test_trace_tables_match_scalar_trace(p, m):
 # -- the trace m-sequence ---------------------------------------------------
 
 
-def coefficient_row_traces(F):
-    """Tr(alpha^t) for every t, as the coefficient rows of the table build
-    weighted by the scalar traces Tr(alpha^i), i < m (Tr is F_p-linear)."""
+# Rows of coefficient_rows multiplied per matrix product; bounds the
+# temporaries to a few MB.
+_CHUNK_ROWS = 1 << 15
+
+
+def coefficient_rows(p, m, modulus):
+    """Rows V[t], the coefficients of alpha^t over 1, alpha, ...,
+    alpha^(m-1), by doubling: V[n:2n] = V[:n] C^n for the companion matrix
+    C of multiplication by x, then C^(2n) = (C^n)^2.  Rows are stored in
+    the smallest dtype that holds p - 1 (uint8 here), products run in the
+    smallest that holds their sums, below m p^2."""
+    M = p ** m - 1
+    work = np.min_scalar_type(m * (p - 1) ** 2)
+    C = np.zeros((m, m), dtype=work)
+    C[np.arange(m - 1), np.arange(1, m)] = 1
+    C[m - 1] = [(-c) % p for c in modulus[:m]]
+    V = np.zeros((M, m), dtype=np.min_scalar_type(p - 1))
+    V[0, 0] = 1
+    n, Cn = 1, C
+    while n < M:
+        for lo in range(0, min(n, M - n), _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, M - n, n)
+            V[n + lo:n + hi] = V[lo:hi].astype(work, copy=False) @ Cn % p
+        Cn = Cn @ Cn % p
+        n *= 2
+    return V
+
+
+def coefficient_row_traces(F, rows):
+    """Tr(alpha^t) for every t, as the coefficient rows weighted by the
+    scalar traces Tr(alpha^i), i < m (Tr is F_p-linear)."""
     M = F.mult_order
-    tr = np.array([F.residue(F.trace(i % M, F.m, 1)) for i in range(F.m)],
-                  dtype=np.int64)
-    return F._coeffs.astype(np.int64) @ tr % F.p
+    out = np.zeros(M, dtype=np.int64)
+    for i in range(F.m):
+        out += rows[:, i] * np.int64(F.residue(F.trace(i % M, F.m, 1)))
+    return out % F.p
 
 
 @pytest.mark.parametrize("p,m", fields_up_to(1 << 16) + [(2, 20)])
 def test_trace_sequence_equals_coefficient_rows(p, m):
     F = Field(p, m)
-    want = coefficient_row_traces(F)
+    rows = coefficient_rows(p, m, F.modulus)
+    # the tables past the literal LFSR's reach are checked here
+    enc = np.zeros(F.mult_order, dtype=np.int64)
+    for i in reversed(range(m)):
+        enc *= p
+        enc += rows[:, i]
+    assert np.array_equal(F.alpha_powers, enc)
+    want = coefficient_row_traces(F, rows)
     seq, windows = trace_sequence(p, m)
     assert np.array_equal(seq, want)
     # the windows are the dual-basis coordinates Tr(alpha^(t+i)), i < m

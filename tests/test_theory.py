@@ -187,13 +187,16 @@ _SCALE_TOWERS = [t for t in grid_towers(1 << 16) if t.k > t.f > 1] + [
 def test_coset_sums_identities_at_scale(tower):
     # exact identities of every T vector, where the literal products are
     # out of reach: the j = 0 transform vanishes, Parseval with
-    # |G|^2 = q^f, and T is constant on q-multiplication classes
-    q, f, k = tower.q, tower.f, tower.k
+    # |G|^2 = q^f, and T is constant on q-multiplication classes and on
+    # p-multiplication classes, since G(phi^(pj)) = G(phi^j) for the
+    # canonical additive character
+    p, q, f, k = tower.p, tower.q, tower.f, tower.k
     N = (q ** f - 1) // (q - 1)
     T = coset_sums(tower)
     assert sum(T) == 0
     assert sum(t * t for t in T) == N * (N - 1) * q ** (k - f)
     assert all(T[q * c % N] == T[c] for c in range(N))
+    assert all(T[p * c % N] == T[c] for c in range(N))
 
 
 @pytest.mark.parametrize("tower", _SCALE_TOWERS,
