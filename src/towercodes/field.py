@@ -22,28 +22,25 @@ modulus cannot pass.  Subfields F_{p^d} for ``d | m`` live inside the field
 as the exponents divisible by ``(p^m - 1) / (p^d - 1)``; relative traces and
 norms between any two nested subfields are supported directly.
 
-The enumeration and closed-form routes read only traces of powers of
-alpha, and t -> Tr(alpha^t) is the m-sequence of the modulus, whose
+Every table that holds elements as F_p digits uses one encoding, the
+window code.  t -> Tr(alpha^t) is the m-sequence of the modulus, and its
 length-m windows are the coordinates of alpha^t in the dual basis
 (Lidl-Niederreiter, ch. 8; Golomb, *Shift Register Sequences*).
 trace_sequence builds it from Newton's identities and the modulus's
-recurrence, advanced by doubling, in O(M m) work and two int64 arrays.  The
-window code of a sum is the digit-wise sum of the codes, so relative traces
-(relative_trace_codes), trace-zero indicators (trace_zero_indicator) and
-subfield elements by index (subfield_element) follow with no log or Zech
-table.  Each is cached per field and degree.
+recurrence, advanced by doubling, in O(M m) work and two int64 arrays.
+The window code of a sum is the digit-wise sum of the codes, so relative
+traces (relative_trace_codes), trace-zero indicators
+(trace_zero_indicator) and subfield elements by index (subfield_element)
+follow with no log or Zech table.  Each is cached per field and degree;
+the enumeration and closed-form routes read only these.
 
-Field keeps log and Zech tables for scalar arithmetic, Gauss sums and the
-oracles (Lidl-Niederreiter, ch. 2-3), read off the same sequence:
-coefficient j of x over the basis 1, alpha, ..., alpha^(m-1) is
-Tr(beta_j x) for the dual basis element beta_j, the power of alpha whose
-window code is p^j, so the encoding of alpha^t comes from m shifted copies
-of the sequence.  The log table is one scatter of the encodings and the
-Zech table one gather, since 1 + alpha^t changes only the constant
-coefficient.  The relative trace table of a subfield is the digit-wise sum
-of the encodings of the Frobenius conjugates, cached per degree pair; the
-absolute trace and the trace-zero indicators are the shared sequence
-arrays.
+Field keeps log and Zech tables over the same codes for scalar
+arithmetic, Gauss sums and the oracles (Lidl-Niederreiter, ch. 2-3):
+alpha_powers is the shared window array, the log table one scatter of
+it, and the Zech table one gather of the log table at the digit-wise sum
+of each code with the code of 1.  A relative trace table is the log table
+gathered at relative_trace_codes, cached per degree pair; the absolute
+trace and the trace-zero indicators are the shared sequence arrays.
 
 Every table is a read-only int64 numpy array (the trace-zero indicators
 are uint8), and -1 stands for the zero element wherever a table holds
@@ -321,19 +318,35 @@ def trace_sequence(p: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
     return seq, windows
 
 
-def _digit_sum(codes: List[np.ndarray], p: int, m: int) -> np.ndarray:
-    """Digit-wise sum mod p of base-p codes of m digits: the window code of
-    a sum of elements.  XOR when p = 2."""
+def _digit_sum(codes: np.ndarray, indices, p: int, m: int) -> np.ndarray:
+    """Digit-wise sum mod p of codes[index] over the indices (arrays, ints
+    or slices) that `indices` yields, for base-p codes of m digits: the
+    window code of a sum of elements, folded in one term at a time.  XOR
+    when p = 2.
+
+    Otherwise digit i of each code moves to bits [B i, B i + B), B wide
+    enough for a sum of m digits below p, so that integer addition adds
+    the codes digit-wise; B m <= 60 for every odd p within the budget.
+    Digit i of x is x // p^i - p (x // p^(i+1)), and the sums are read back
+    mod p through a table: numpy divides by a scalar and gathers faster
+    than it takes a remainder."""
+    it = iter(indices)
     if p == 2:
-        out = codes[0].copy()
-        for c in codes[1:]:
-            out ^= c
+        out = codes[next(it)].copy()
+        for index in it:
+            out ^= codes[index]
         return out
-    rest = np.stack(codes)
-    out = np.zeros(rest.shape[1], dtype=np.int64)
+    B = (m * (p - 1)).bit_length()
+    spread = np.zeros_like(codes)
     for i in range(m):
-        out += rest.sum(axis=0) % p * p ** i
-        rest //= p
+        spread |= (codes // p ** i - codes // p ** (i + 1) * p) << B * i
+    sums = spread[next(it)].copy()
+    for index in it:
+        sums += spread[index]
+    out = np.zeros_like(sums)
+    residue = np.arange(1 << B) % p
+    for i in range(m):
+        out += residue[sums >> B * i & (1 << B) - 1] * p ** i
     return out
 
 
@@ -345,18 +358,17 @@ def relative_trace_codes(p: int, m: int, from_deg: int,
     (p^from_deg - 1)); 0 exactly where the trace vanishes.  Cached.
 
     The trace is the sum of the conjugates g^(c s^j), s = p^to_deg, so its
-    code is the digit-wise sum of theirs.  No division by from_deg / to_deg
+    code is the digit-wise sum of theirs, the codes of the g^c at the
+    indices c s^j mod (p^from_deg - 1).  No division by from_deg / to_deg
     is needed, so it is exact whether or not p divides it."""
     if from_deg % to_deg or m % from_deg:
         raise ValueError(f"degrees must nest: {to_deg} | {from_deg} | {m}")
     _, windows = trace_sequence(p, m)
     M, Mf = p ** m - 1, p ** from_deg - 1
-    u = np.arange(Mf, dtype=np.int64) * (M // Mf)
-    conjugates = []
-    for _ in range(from_deg // to_deg):
-        conjugates.append(windows[u])
-        u = u * p ** to_deg % M
-    codes = _digit_sum(conjugates, p, m)
+    c = np.arange(Mf, dtype=np.int64)
+    codes = _digit_sum(windows[::M // Mf],
+                       (c * pow(p, to_deg * j, Mf) % Mf
+                        for j in range(from_deg // to_deg)), p, m)
     codes.flags.writeable = False
     return codes
 
@@ -410,7 +422,10 @@ def subfield_element(p: int, m: int, deg: int, index: int
 
 
 class Field:
-    """F_{p^m} with exp/log and Zech addition tables."""
+    """F_{p^m} with log and Zech tables over the window codes of its trace
+    sequence: alpha_powers[t] is the code of alpha^t, _dlog maps a code
+    back to its exponent (-1 at code 0, the zero element), and
+    1 + alpha^t = alpha^zech[t]."""
 
     def __init__(self, p: int, m: int):
         check_field_budget(p, m)
@@ -421,44 +436,28 @@ class Field:
         self.p = p
         self.m = m
         self.order = p ** m
-        self.mult_order = self.order - 1
+        self.mult_order = M = self.order - 1
         self.modulus = primitive_modulus(p, m)
-        self._build_tables()
-        self._subtables: Dict[Tuple[int, int], np.ndarray] = {}
-
-    # -- construction -------------------------------------------------
-
-    def _build_tables(self):
-        p, m, M = self.p, self.m, self.mult_order
+        # trace_sequence has checked that the windows are the nonzero
+        # codes, each once
         seq, windows = trace_sequence(p, m)
-        # coefficient j of x over 1, alpha, ..., alpha^(m-1) is Tr(beta_j x)
-        # for the dual basis beta_j = alpha^d_j, the one exponent whose
-        # window code is p^j; so digit j of the encoding sum_j c_j p^j of
-        # alpha^t is seq[(t + d_j) mod M]
-        enc = np.zeros(M, dtype=np.int64)
-        for j in reversed(range(m)):
-            d = int(np.flatnonzero(windows == p ** j)[0])
-            enc *= p
-            enc[:M - d] += seq[d:]
-            enc[M - d:] += seq[:d]
         dlog = np.full(self.order, -1, dtype=np.int64)
-        dlog[enc] = np.arange(M)
-        # M powers fill the M nonzero encodings only if none repeats
-        if not enc.all() or (dlog[1:] < 0).any():
-            raise RuntimeError("modulus is not primitive (cycle repeats)")
-        # Zech table: 1 + alpha^t adds 1 to the constant coefficient, p - 1
-        # wrapping to 0; the one t with alpha^t = -1 reaches encoding 0,
+        dlog[windows] = np.arange(M)
+        # the code of 1 + alpha^t is windows[t] plus windows[0], the code
+        # of 1, digit-wise; the one t with alpha^t = -1 reaches code 0,
         # where dlog holds -1 for zero
-        enc1 = enc + 1
-        enc1[enc % p == p - 1] -= p
-        zech = dlog[enc1]
-        for table in (enc, dlog, zech):
+        zech = dlog[_digit_sum(windows, (slice(None), 0), p, m)]
+        for table in (dlog, zech):
             table.flags.writeable = False
-        self.alpha_powers = enc
+        self.alpha_powers = windows
         self._dlog = dlog
         self.zech = zech
+        self._seq = seq
+        # Tr(c alpha^u) = c for c in F_p once Tr(alpha^u) = 1
+        self._unit = int(np.argmax(seq == 1))
+        self._subtables: Dict[Tuple[int, int], np.ndarray] = {}
 
-    # -- element encodings --------------------------------------------
+    # -- elements -------------------------------------------------------
 
     @property
     def zero(self) -> Element:
@@ -473,28 +472,6 @@ class Field:
         if self.mult_order == 1:
             return 0
         return 1
-
-    def vector(self, x: Element):
-        """Coefficient tuple of x over F_p, low degree first."""
-        enc = 0 if x is None else self.alpha_powers.item(x)
-        out = []
-        for _ in range(self.m):
-            out.append(enc % self.p)
-            enc //= self.p
-        return tuple(out)
-
-    def from_vector(self, coeffs) -> Element:
-        if len(coeffs) != self.m:
-            raise ValueError("coefficient vector has wrong length")
-        enc = 0
-        for c in reversed(list(coeffs)):
-            enc = enc * self.p + c % self.p
-        if enc == 0:
-            return None
-        t = self._dlog.item(enc)
-        if t == -1:
-            raise ValueError("encoding out of range")
-        return t
 
     def elements(self):
         yield None
@@ -604,16 +581,17 @@ class Field:
             return 0
         if not self.in_subfield(x, 1):
             raise ValueError("element not in the prime subfield")
-        return self.alpha_powers.item(x) % self.p
+        return self._seq.item((x + self._unit) % self.mult_order)
 
     def element_from_residue(self, c: int) -> Element:
-        c %= self.p
+        p = self.p
+        c %= p
         if c == 0:
             return None
-        t = self._dlog.item(c)
-        if t == -1:
-            raise RuntimeError("residue lookup failed")
-        return t
+        # the code of c is c times the code of 1, digit-wise
+        one = self.alpha_powers.item(0)
+        return self._dlog.item(sum(c * (one // p ** i % p) % p * p ** i
+                                   for i in range(self.m)))
 
     def subfield_element_from_index(self, i: int, deg: int) -> Element:
         """Map an integer in [0, p^deg) to F_{p^deg} by base-p digits over
@@ -639,20 +617,14 @@ class Field:
         exponent of the trace of g**i, -1 where it is zero, with g
         generating F_{p^from_deg}^*.  Cached per degree pair.
 
-        The trace of alpha^u is the digit-wise sum of the encodings of its
-        conjugates alpha^(u s^j), s = p^to_deg, mapped back through dlog.
+        The shared relative_trace_codes of the pair, mapped back through
+        the log table.
         """
         self._check_degrees(from_deg, to_deg)
         tab = self._subtables.get((from_deg, to_deg))
         if tab is None:
-            p, M = self.p, self.mult_order
-            Mf = p ** from_deg - 1
-            u = np.arange(Mf, dtype=np.int64) * (M // Mf)
-            conjugates = []
-            for _ in range(from_deg // to_deg):
-                conjugates.append(self.alpha_powers[u])
-                u = u * p ** to_deg % M
-            tab = self._dlog[_digit_sum(conjugates, p, self.m)]
+            tab = self._dlog[relative_trace_codes(self.p, self.m, from_deg,
+                                                  to_deg)]
             tab.flags.writeable = False
             self._subtables[(from_deg, to_deg)] = tab
         return tab
@@ -665,7 +637,7 @@ class Field:
     def abs_trace_residues(self) -> np.ndarray:
         """Read-only int64 array over exponents u: Tr_{p^m/p}(alpha^u) as a
         residue; the shared trace_sequence of this field."""
-        return trace_sequence(self.p, self.m)[0]
+        return self._seq
 
     def __repr__(self):
         return f"Field({self.p}, {self.m})"

@@ -39,14 +39,16 @@ O(N) memory.  The literal Gauss-sum products stay in the tests as its oracle.
 
 The predicted distributions need only the multiset of T_c, and that needs
 only F_{q^f}, never F_{q^k}: coset_sum_counts reads the periods of the
-middle field's own generator off its trace sequence, with no field table.  Tr(g^(c + Nt)) = g^(Nt) Tr(g^c) with g^(Nt)
-in F_q^*, so eta_c depends on c mod N only, and another generator
-g' = g^u, gcd(u, q^f - 1) = 1, has the periods eta'_c = eta_(uc mod N)
-with u prime to N.  Cyclic convolution commutes with the relabelling
-c -> uc, and the periods do not depend on how F_{q^f} is built, so the
-multiset of T is the same for every generator.  coset_sums keeps the
-generator embedded in F_{q^k}, whose index c = s mod N the per-codeword
-formulas need; it is the oracle for coset_sum_counts.
+middle field's own generator off its trace sequence, with no field table.
+Tr(g^(c + Nt)) = g^(Nt) Tr(g^c) with g^(Nt) in F_q^*, so eta_c depends on
+c mod N only, and another generator g' = g^u, gcd(u, q^f - 1) = 1, has
+the periods eta'_c = eta_(uc mod N) with u prime to N.  Cyclic
+convolution commutes with the relabelling c -> uc, and the periods do not
+depend on how F_{q^f} is built, so the multiset of T is the same for
+every generator.  coset_sums keeps the generator embedded in F_{q^k},
+whose index c = s mod N the per-codeword formulas need, and reads its
+periods off the relative trace codes of F_{q^k}'s trace sequence, again
+with no field table; it is the oracle for coset_sum_counts.
 
 S_a(b) has one function per route, each taking the shift: exp_sum_direct,
 the literal triple sum over (x, y, z) for small fields; exp_sum_grouped,
@@ -62,7 +64,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .field import Element, Field, TowerSpec, trace_zero_indicator
+from .field import (Element, Field, TowerSpec, relative_trace_codes,
+                    trace_zero_indicator)
 from .codes import DefiningSet, WeightDistribution, zero_trace_counts
 from .cyclotomic import CycloInt
 
@@ -82,11 +85,12 @@ def _exact_div(num: int, den: int) -> int:
 def coset_sums(tower: TowerSpec) -> Tuple[int, ...]:
     """T_c for c = 0 .. N-1, N = (q^f-1)/(q-1), as exact integers, indexed
     by the generator of F_{q^f} embedded in F_{q^k}: c_b, b = alpha^s,
-    reads T_(s mod N).  Builds the top field's tables; the predicted
+    reads T_(s mod N).  The periods come from the relative trace codes of
+    the top field's trace sequence, with no field table; the predicted
     distributions need only coset_sum_counts."""
     ef = tower.e * tower.f
-    return _convolved_periods(
-        tower, tower.field().trace_exp_subtable(ef, tower.e) < 0)
+    return _convolved_periods(tower, relative_trace_codes(
+        tower.p, tower.m, ef, tower.e) == 0)
 
 
 @lru_cache(maxsize=None)
@@ -233,9 +237,9 @@ def exp_sum_direct(field: Field, tower: TowerSpec, b: Element,
     # chi_1 over F_{q^f}, tabulated against the subfield generator g:
     # x = alpha^u gives x^L = g^u, and y = alpha^(i ystep) is g^(iN).
     # Tr_{q^f/p}(g^i) comes from the subfield trace table, independent of
-    # gauss_sum; it lies in F_p, whose element c is encoded as c itself.
-    sub = field.trace_exp_subtable(tower.e * tower.f, 1)
-    sub_res = np.where(sub < 0, 0, field.alpha_powers[sub])
+    # gauss_sum, as a residue.
+    sub = field.trace_exp_subtable(tower.e * tower.f, 1).tolist()
+    sub_res = np.array([field.residue(None if t < 0 else t) for t in sub])
     qf1 = q ** tower.f - 1
     N = qf1 // (q - 1)
     ystep = field.subfield_exp(tower.e)

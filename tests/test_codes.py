@@ -483,8 +483,14 @@ def test_code_search_and_predictions_build_no_field(monkeypatch, capsys):
     for spec in CLOSED_FORM_TOWERS:
         tower = TowerSpec(*spec)
         theory.predicted_distribution(tower, 0)
-        if tower.gcd_condition():
-            theory.predicted_distribution(tower, 1)
+        assert len(theory.coset_sums(tower)) == (
+            (tower.q ** tower.f - 1) // (tower.q - 1))
+        shifts = [0, 1] if tower.gcd_condition() else [0]
+        for a in shifts:
+            theory.predicted_distribution(tower, a)
+            for b in (0, 1, 5):
+                theory.weight_closed(tower, a, b)
+                theory.exp_sum_closed(tower, a, b)
     capsys.readouterr()
     assert built == []
     # the spy sees a build

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -61,7 +62,8 @@ def poly_mul_mod(a, b, modulus, p):
 @pytest.mark.parametrize("p,m", SMALL_FIELDS)
 def test_tables_match_polynomial_arithmetic(p, m):
     F = Field(p, m)
-    vec = {x: F.vector(x) for x in F.elements()}
+    vectors, _ = literal_tables(p, m, F.modulus)
+    vec = {None: (0,) * m, **dict(enumerate(vectors))}
     back = {v: x for x, v in vec.items()}
     for x in F.elements():
         for y in F.elements():
@@ -111,30 +113,27 @@ def literal_modulus(p, m):
 
 
 def literal_tables(p, m, modulus):
-    """(alpha_powers, dlog, zech) by stepping x -> x * alpha once per t."""
+    """(vectors, zech) by stepping x -> x * alpha once per t: vectors[t]
+    holds the coefficients of alpha^t over 1, alpha, ..., alpha^(m-1), and
+    1 + alpha^t = alpha^zech[t], None where it is zero."""
     M = p ** m - 1
-    powers = [0] * M
-    dlog = [-1] * p ** m
+    vectors = []
+    dlog = {}
     vec = [1] + [0] * (m - 1)
     for t in range(M):
-        enc = 0
-        for c in reversed(vec):
-            enc = enc * p + c
-        assert dlog[enc] == -1, "cycle repeats"
-        powers[t] = enc
-        dlog[enc] = t
+        key = tuple(vec)
+        assert key not in dlog, "cycle repeats"
+        vectors.append(key)
+        dlog[key] = t
         lead = vec[m - 1]
         vec = [0] + vec[: m - 1]
         if lead:
             for j in range(m):
                 vec[j] = (vec[j] - lead * modulus[j]) % p
     assert vec == [1] + [0] * (m - 1), "cycle does not close"
-    zech = []
-    for t in range(M):
-        c0 = powers[t] % p
-        enc1 = powers[t] - c0 + (c0 + 1) % p
-        zech.append(dlog[enc1] if enc1 else None)
-    return powers, dlog, zech
+    # 1 + alpha^t adds 1 to the constant coefficient
+    zech = [dlog.get(((v[0] + 1) % p,) + v[1:]) for v in vectors]
+    return vectors, zech
 
 
 def fields_up_to(limit, primes=(2, 3, 5, 7)):
@@ -145,18 +144,29 @@ def fields_up_to(limit, primes=(2, 3, 5, 7)):
 def test_tables_match_literal_lfsr(p, m):
     F = Field(p, m)
     assert F.modulus == literal_modulus(p, m)
-    powers, dlog, zech = literal_tables(p, m, F.modulus)
-    assert F.alpha_powers.tolist() == powers
-    assert F._dlog.tolist() == dlog
+    vectors, zech = literal_tables(p, m, F.modulus)
+    # Tr(alpha^t) = sum_j alpha^(t p^j) lies in F_p: it is the constant
+    # term of the summed coefficient vectors, whose other terms vanish
+    M = F.mult_order
+    V = np.array(vectors, dtype=np.int64)
+    t = np.arange(M)
+    conjugate_sum = sum(V[t * p ** j % M] for j in range(m)) % p
+    assert not conjugate_sum[:, 1:].any()
+    tr = conjugate_sum[:, 0]
+    # the code of alpha^t holds Tr(alpha^(t+i)), i < m, as base-p digits
+    codes = sum(tr[(t + i) % M] * p ** i for i in range(m))
+    assert F.alpha_powers.tolist() == codes.tolist()
+    assert np.array_equal(F._dlog[F.alpha_powers], t)
     # the tables hold -1 for the zero element
+    assert F._dlog[0] == -1
     assert F.zech.tolist() == [-1 if z is None else z for z in zech]
     for table in (F.alpha_powers, F._dlog, F.zech):
         assert table.dtype == np.int64 and not table.flags.writeable
     # the scalar methods read entries as plain Python ints, so no numpy
     # scalar reaches an Element
     sums = {F.add(x, y) for x in F.elements() for y in (None, 0, x)}
-    vectors = {F.from_vector(F.vector(x)) for x in F.elements()}
-    assert {type(v) for v in sums | vectors} <= {int, type(None)}
+    residues = {F.element_from_residue(c) for c in range(p)}
+    assert {type(v) for v in sums | residues} <= {int, type(None)}
 
 
 def test_table_build_rejects_bad_moduli(monkeypatch):
@@ -264,33 +274,44 @@ def coefficient_rows(p, m, modulus):
     return V
 
 
-def coefficient_row_traces(F, rows):
+def coefficient_row_traces(p, m, rows):
     """Tr(alpha^t) for every t, as the coefficient rows weighted by the
-    scalar traces Tr(alpha^i), i < m (Tr is F_p-linear)."""
-    M = F.mult_order
+    traces Tr(alpha^i), i < m (Tr is F_p-linear).  Tr(alpha^i) =
+    sum_j alpha^(i p^j) is the constant term of the summed rows, whose
+    other terms vanish."""
+    M = p ** m - 1
+    i = np.arange(m)
+    conjugate_sum = sum(rows[i * p ** j % M].astype(np.int64)
+                        for j in range(m)) % p
+    assert not conjugate_sum[:, 1:].any()
     out = np.zeros(M, dtype=np.int64)
-    for i in range(F.m):
-        out += rows[:, i] * np.int64(F.residue(F.trace(i % M, F.m, 1)))
-    return out % F.p
+    for i, tr in enumerate(conjugate_sum[:, 0].tolist()):
+        out += rows[:, i] * np.int64(tr)
+    return out % p
 
 
 @pytest.mark.parametrize("p,m", fields_up_to(1 << 16) + [(2, 20)])
 def test_trace_sequence_equals_coefficient_rows(p, m):
     F = Field(p, m)
+    M = F.mult_order
     rows = coefficient_rows(p, m, F.modulus)
-    # the tables past the literal LFSR's reach are checked here
-    enc = np.zeros(F.mult_order, dtype=np.int64)
-    for i in reversed(range(m)):
-        enc *= p
-        enc += rows[:, i]
-    assert np.array_equal(F.alpha_powers, enc)
-    want = coefficient_row_traces(F, rows)
+    want = coefficient_row_traces(p, m, rows)
     seq, windows = trace_sequence(p, m)
     assert np.array_equal(seq, want)
     # the windows are the dual-basis coordinates Tr(alpha^(t+i)), i < m
-    t = np.arange(F.mult_order)
-    codes = sum(want[(t + i) % F.mult_order] * p ** i for i in range(m))
+    t = np.arange(M)
+    codes = sum(want[(t + i) % M] * p ** i for i in range(m))
     assert np.array_equal(windows, codes)
+    assert F.alpha_powers is windows
+    # the Zech table past the literal LFSR's reach: over the polynomial
+    # basis, 1 + alpha^t adds 1 to the constant coefficient of row t
+    enc = np.zeros(M, dtype=np.int64)
+    for i in reversed(range(m)):
+        enc *= p
+        enc += rows[:, i]
+    dlog = np.full(M + 1, -1, dtype=np.int64)
+    dlog[enc] = t
+    assert np.array_equal(F.zech, dlog[enc + 1 - p * (rows[:, 0] == p - 1)])
     for table in (seq, windows):
         assert table.dtype == np.int64 and not table.flags.writeable
     assert trace_sequence(p, m)[0] is seq and F.abs_trace_residues() is seq
@@ -313,15 +334,51 @@ def test_sequence_subfield_maps_match_the_tables(p, m):
     _, windows = trace_sequence(p, m)
     degrees = [d for d in range(1, m + 1) if m % d == 0]
     for hi in degrees:
+        step = F.subfield_exp(hi)
         for lo in (d for d in degrees if hi % d == 0):
-            tab = F.trace_exp_subtable(hi, lo)
-            want = np.where(tab < 0, 0, windows[np.maximum(tab, 0)])
-            assert np.array_equal(relative_trace_codes(p, m, hi, lo), want)
+            # trace_exp_subtable reads these codes, so the scalar trace,
+            # a sum by Zech additions, is the reference
+            want = [0 if t is None else windows.item(t) for t in
+                    (F.trace(i * step, hi, lo) for i in range(p ** hi - 1))]
+            assert relative_trace_codes(p, m, hi, lo).tolist() == want
         assert F.trace_zero_indicator(hi) is trace_zero_indicator(p, m, hi)
         for i in range(p ** hi):
             x = F.subfield_element_from_index(i, hi)
             code = 0 if x is None else windows.item(x)
             assert subfield_element(p, m, hi, i) == (x, code)
+
+
+@pytest.mark.parametrize("p,m", [(2, 16), (3, 10)])
+def test_relative_trace_codes_fold_one_conjugate_at_a_time(p, m):
+    # m conjugates held at once would need m or more arrays of p^m - 1
+    # entries; folding each into the sum as it is formed needs a few
+    trace_sequence(p, m)  # the shared sequence is not part of the peak
+    tracemalloc.start()
+    try:
+        relative_trace_codes.__wrapped__(p, m, m, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (p ** m - 1) * 8
+
+
+# the odd fields of largest degree per prime, and the largest prime
+# field's square: the widest digit sums
+@pytest.mark.parametrize("p,m", [(3, 12), (5, 8), (7, 7), (13, 5), (1021, 2)])
+def test_absolute_trace_codes_scale_the_code_of_one(p, m):
+    # Tr(alpha^c) lies in F_p, and the code of t in F_p is t times the code
+    # of 1, digit-wise: digit i is Tr(alpha^c) Tr(alpha^i) mod p
+    seq, _ = trace_sequence.__wrapped__(p, m)
+    want = sum(seq * seq[i] % p * p ** i for i in range(m))
+    assert np.array_equal(relative_trace_codes.__wrapped__(p, m, m, 1), want)
+
+
+def test_digit_sums_fit_in_int64():
+    # relative traces add up to m digits below p in fields of
+    # B = bit_length(m (p - 1)) bits, m fields per int64 entry; a prime
+    # field needs one field of at most 20 bits
+    assert max(m * (m * (p - 1)).bit_length()
+               for p, m in PRIMITIVE_CODES if p > 2) == 60
 
 
 def test_trace_sequence_rejects_bad_moduli(monkeypatch):
@@ -402,16 +459,6 @@ def test_zero_division_errors():
         F.inv(None)
     with pytest.raises(ZeroDivisionError):
         F.pow(None, -2)
-
-
-def test_vector_roundtrip():
-    F = Field(3, 2)
-    for x in F.elements():
-        assert F.from_vector(F.vector(x)) == x
-    assert F.vector(None) == (0, 0)
-    assert F.from_vector((2, 0)) == F.element_from_residue(2)
-    with pytest.raises(ValueError):
-        F.from_vector((1, 0, 0))
 
 
 # -- traces and norms -------------------------------------------------------
