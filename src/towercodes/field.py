@@ -350,6 +350,25 @@ def _digit_sum(codes: np.ndarray, indices, p: int, m: int) -> np.ndarray:
     return out
 
 
+def _add_code(codes: np.ndarray, code: int, p: int, m: int) -> np.ndarray:
+    """Digit-wise sum mod p of every base-p code in `codes` with the one
+    code `code`, for codes of m digits.  XOR when p = 2.
+
+    Otherwise the plain integer sum is right but for the carries: where
+    digit i of x, x // p^i - p (x // p^(i+1)), reaches p - c_i, the digit
+    i + 1 took a carry of p^(i+1), which is taken back.  Only the nonzero
+    digits c_i of `code` cost array work."""
+    if p == 2:
+        return codes ^ code
+    out = codes + code
+    for i in range(m):
+        c = code // p ** i % p
+        if c:
+            digit = codes // p ** i - codes // p ** (i + 1) * p
+            out -= (digit >= p - c) * p ** (i + 1)
+    return out
+
+
 @lru_cache(maxsize=None)
 def relative_trace_codes(p: int, m: int, from_deg: int,
                          to_deg: int) -> np.ndarray:
@@ -446,7 +465,7 @@ class Field:
         # the code of 1 + alpha^t is windows[t] plus windows[0], the code
         # of 1, digit-wise; the one t with alpha^t = -1 reaches code 0,
         # where dlog holds -1 for zero
-        zech = dlog[_digit_sum(windows, (slice(None), 0), p, m)]
+        zech = dlog[_add_code(windows, windows.item(0), p, m)]
         for table in (dlog, zech):
             table.flags.writeable = False
         self.alpha_powers = windows

@@ -231,6 +231,18 @@ def test_search_budget_over_field_budget_exits_2_before_work(capsys,
     assert built == []
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_search_budget_below_one_exits_2_before_work(capsys, monkeypatch,
+                                                     budget):
+    def no_rows(*args):
+        raise AssertionError("search started on a refused budget")
+
+    monkeypatch.setattr(cli, "_search_rows", no_rows)
+    code, out, err = run(capsys, "search", "--budget", budget)
+    assert code == 2 and out == ""
+    assert err == f"error: --budget must be at least 1, got {budget}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("field", "--p", "2305843009213693951", "--e", "1", "--k", "1"),
     ("code", "--p", "2305843009213693951", "--e", "1", "--f", "1",

@@ -2,12 +2,14 @@
 
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from towercodes.cyclotomic import (
     AddChar,
     CycloInt,
+    _conv_cyclic,
     _conv_schoolbook,
     MultChar,
     davenport_hasse_lift,
@@ -53,8 +55,9 @@ def test_ring_identities(n):
 
 
 # orders on both sides of the schoolbook/Kronecker switch at n = 128, and
-# coefficient bounds that pick 16-, 32- and 64-bit Kronecker digits and,
-# past 2^62, the schoolbook product again
+# coefficient bounds from a few bits to past 2^62: Kronecker digits are
+# exactly as wide as the product bound, and past 2^62 the schoolbook
+# product takes over again
 RING_ORDERS = (1, 2, 3, 4, 6, 12, 15, 30, 129, 255)
 COEFF_BOUNDS = (3, 20, 2 ** 20, 2 ** 40, 2 ** 70)
 
@@ -142,6 +145,28 @@ def test_constructor_validation():
         CycloInt(3, [1, 2])
 
 
+@pytest.mark.parametrize("coeffs", [[1.5, 0], np.array([1.5, 0.0]),
+                                    ["1", 0], np.array([[1, 0], [0, 1]])])
+def test_constructor_refuses_non_integers(coeffs):
+    # int() would truncate 1.5 to 1 and read "1" as 1; a 2-D array's rows
+    # are not coefficients
+    with pytest.raises(TypeError):
+        CycloInt(2, coeffs)
+
+
+def test_constructor_reads_arrays_as_python_ints():
+    values = [3, -1, 0, 2 ** 40, -(2 ** 62)]
+    for arr in (np.array(values, dtype=np.int64),
+                np.array(values[:4], dtype=np.int64)[[0, 1, 2, 3]]):
+        got = CycloInt(len(arr), arr).coeffs
+        assert got == tuple(values[:len(arr)])
+        assert all(type(c) is int for c in got)
+    got = CycloInt(3, np.array([1, 2, 3], dtype=np.uint8)).coeffs
+    assert got == (1, 2, 3) and all(type(c) is int for c in got)
+    got = CycloInt(2, [np.int64(4), np.int32(-2)]).coeffs
+    assert got == (4, -2) and all(type(c) is int for c in got)
+
+
 # -- convolution paths --------------------------------------------------------
 
 
@@ -154,10 +179,10 @@ def naive_cyclic(n, a, b):
 
 
 @pytest.mark.parametrize("n,scale", [
-    (150, 1),          # 16-bit packing
-    (150, 1 << 12),    # 32-bit packing
-    (150, 1 << 24),    # 64-bit packing
-    (131, 7),
+    (150, 1),          # 12-bit digits
+    (150, 1 << 12),    # 36-bit digits
+    (150, 1 << 24),    # 60-bit digits
+    (131, 7),          # 18-bit digits, odd n
 ])
 def test_large_ring_products_match_naive(n, scale):
     a = [((3 * i * i + 5 * i) % 17 - 8) * scale for i in range(n)]
@@ -173,6 +198,61 @@ def test_huge_coefficients_fall_back_exactly():
     assert (big * big).as_int() == v * v
     x = zeta(150, 3) * v + 1
     assert x * x == zeta(150, 6) * (v * v) + zeta(150, 3) * (2 * v) + 1
+
+
+def _bound_case(n, lim, signs):
+    """Operands whose product bound is exactly lim, attained by every
+    coefficient: a = +-1 everywhere and b a nonnegative vector of sum lim,
+    so each cyclic coefficient is +-lim."""
+    b = [lim // n + (j < lim % n) for j in range(n)]
+    a = [1] * n
+    if signs in ("a", "both"):
+        a = [-1] * n
+    if signs == "both":
+        b = [-v for v in b]
+    if signs == "alternating":  # even n: (-1)^i (-1)^(k-i) = (-1)^k
+        a = [(-1) ** i for i in range(n)]
+        b = [(-1) ** j * v for j, v in enumerate(b)]
+    return a, b
+
+
+@pytest.mark.parametrize("n,signs", [
+    (n, signs) for n in (129, 256) for signs in ("none", "a", "both")
+] + [(256, "alternating")])
+@pytest.mark.parametrize("lim", [(1 << w) + d
+                                 for w in (8, 15, 16, 31, 32, 61)
+                                 for d in (-1, 0)]
+                         + [(1 << 62) - 1, 1 << 62])
+def test_products_at_the_digit_width_boundary(n, signs, lim):
+    # lim = 2^w - 1 packs at w bits and 2^w at w + 1; a digit one bit too
+    # narrow would carry into its neighbour.  At 2^62 the schoolbook
+    # product takes over.
+    a, b = _bound_case(n, lim, signs)
+    got = _conv_cyclic(n, tuple(a), tuple(b))
+    want = _conv_schoolbook(n, a, b)
+    assert max(map(abs, want)) == lim
+    assert list(got) == want
+    assert (CycloInt(n, a) * CycloInt(n, b)).coeffs == tuple(want)
+
+
+@pytest.mark.parametrize("big", [1 << 63, -(1 << 63), 1 << 70])
+def test_coefficients_past_int64_fall_back_exactly(big):
+    # 2^63 and 2^70 do not fit int64; -2^63 does, and its magnitude must
+    # still read as 2^63, past the packing limit
+    n = 129
+    a = [big] + [0] * (n - 2) + [3]
+    b = [(-1) ** j * (j % 5) for j in range(n)]
+    got = _conv_cyclic(n, tuple(a), tuple(b))
+    assert list(got) == _conv_schoolbook(n, a, b)
+
+
+def test_bound_sums_past_uint64_stay_exact():
+    # sum |a| = 2^64 wraps to 0 in uint64; the bound would then read 2^56
+    # while every coefficient is 2^57, one bit too wide for its digit
+    n = 256
+    a, b = [1 << 56] * n, [1, 1] + [0] * (n - 2)
+    got = _conv_cyclic(n, tuple(a), tuple(b))
+    assert list(got) == _conv_schoolbook(n, a, b) == [1 << 57] * n
 
 
 def test_zero_operand_products():
