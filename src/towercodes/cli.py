@@ -33,12 +33,11 @@ def _bool_str(v) -> str:
     return "true" if v else "false"
 
 
-def _code_facts(tower: TowerSpec, a_index: int, punctured: bool,
-                workers: int):
+def _code_facts(tower: TowerSpec, a_index: int, punctured: bool):
     ds = build_defining_set(tower, a_index)
     if punctured:
         ds = puncture(ds)
-    brute = brute_weight_distribution(ds, workers=workers)
+    brute = brute_weight_distribution(ds)
     report = TheoryReport(tower, a_index, punctured=punctured)
     return ds, brute, report
 
@@ -107,8 +106,7 @@ def _cmd_code(args) -> int:
     tower = TowerSpec(args.p, args.e, args.f, args.k)
     if not 0 <= args.a < tower.q:
         raise ValueError(f"a must be in [0, q) = [0, {tower.q})")
-    ds, brute, report = _code_facts(tower, args.a, args.punctured,
-                                    args.workers)
+    ds, brute, report = _code_facts(tower, args.a, args.punctured)
     if args.format == "json":
         print(_code_json(tower, args.a, args.punctured, brute, report))
     else:
@@ -148,7 +146,7 @@ def _cmd_gauss(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(args.suite, workers=args.workers)
+    results = run_suite(args.suite)
     failed = 0
     for r in results:
         mark = "ok  " if r.ok else "FAIL"
@@ -161,13 +159,13 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _search_rows(budget: int, workers: int) -> List[str]:
+def _search_rows(budget: int) -> List[str]:
     rows = []
     for tower in sorted(grid_towers(budget),
                         key=lambda t: (t.p, t.e, t.f, t.k)):
         shifts = [1] if tower.f == 1 else [0, 1]
         for a_index in shifts:
-            ds, brute, report = _code_facts(tower, a_index, False, workers)
+            ds, brute, report = _code_facts(tower, a_index, False)
             rows.append(_code_csv_row(tower, a_index, brute, report))
     return rows
 
@@ -179,7 +177,7 @@ def _cmd_search(args) -> int:
         raise ValueError(f"--budget {args.budget} exceeds the field budget "
                          f"{MAX_FIELD_ORDER}")
     print(_CSV_HEADER)
-    for row in _search_rows(args.budget, args.workers):
+    for row in _search_rows(args.budget):
         print(row)
     return 0
 
@@ -194,10 +192,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     q_help = "base subfield is F_{p^e}; the code field is F_{p^(e*k)}"
-    workers_help = ("threads for the enumeration kernel, at most one per "
-                    "CPU; they split the shifts it sums (one per F_q^* "
-                    "translate and q-Frobenius class of the q^f - 1 "
-                    "residues) and start only when q^f - 1 >= 4096")
+    workers_help = ("accepted for compatibility and checked to be at "
+                    "least 1; it no longer changes the work, which runs "
+                    "on one thread")
 
     fp = sub.add_parser("field", help="field table facts")
     fp.add_argument("--p", type=int, required=True, help="characteristic")

@@ -35,39 +35,43 @@ Each residue class mod Mf holds M/Mf exponents mod M, so D is such a union
 exactly when no two of its elements agree mod M and each residue of D mod
 Mf occurs M/Mf times: two bincounts check that, in O(M) and without a sort.
 
-Two more symmetries come from the trace alone.  Tr is F_q-linear, so
-Z_(s + sigma) = Z_s with alpha^sigma generating F_q^*, sigma =
-(q^k-1)/(q-1); with the period Mf this leaves the period
-g = gcd(sigma, Mf) = N gcd(k/f, q-1), N = (q^f-1)/(q-1).  And x -> x^q
-fixes a, maps D onto itself and keeps Tr(x) = 0, so Z_(qs) = Z_s (x -> x^p
-moves a when q > p, so p would not do); a set that is not stable is
-refused, after one gather checks that D mod Mf is closed under times q.
-One pass over the trace-zero indicator gives N0, a vectorized gather
-computes Z only at the least member of each class {q^i t mod g} (about g/f
-classes), and gathering every t's class sum by its least member and
-tiling gives all M counts:
-O(M + (g/f) |D mod Mf|) work instead of O(M |D|).  A punctured set is
-expanded back to its F_q^* orbits first; the trace is F_q-linear, so the
-counts divide exactly by q - 1.  The histogram over b is then deduplicated
-by the kernel of b -> c_b, so repeated codewords (when the map is not
-injective) are counted once, and its first two moments are checked against
+The trace is F_q-linear, so Z_(s + sigma) = Z_s with alpha^sigma
+generating F_q^*, sigma = (q^k-1)/(q-1); with the period Mf this leaves the
+period g = gcd(sigma, Mf) = N gcd(k/f, q-1), N = (q^f-1)/(q-1), for every
+union of norm-kernel cosets.  Z over one period is one exact cyclic
+correlation of length g.  Fold N0 and the indicator of H = D mod Mf to
+length g,
+
+    N0g[t] = sum_{u = t mod g} N0[u],    Hg[t] = |{h in H : -h = t mod g}|,
+
+so that their cyclic product at s sums Z over the Mf/g shifts s' = s mod g
+in [0, Mf); Z is constant on them, so the product divides exactly by Mf/g,
+and a nonzero remainder raises.  The product is the Kronecker one of the
+ring code (cyclotomic._kronecker_nonneg): its coefficients are at most
+sum(Hg) max(N0g), so digits of lim.bit_length() bits, lim bounding them and
+every entry, hold each one exactly.  One pass over the trace-zero indicator
+gives N0g, and the work is O(M) plus one product of two g-digit integers,
+instead of O(M |D|).
+
+A punctured set is expanded back to its F_q^* orbits first; the trace is
+F_q-linear, so the counts divide exactly by q - 1.  The histogram over b
+reads the g counts of one period, each M/g times, and is deduplicated by
+the kernel of b -> c_b, so repeated codewords (when the map is not
+injective) are counted once; its first two moments are checked against
 the Pless identities (Huffman-Pless, *Fundamentals of Error-Correcting
 Codes*, ch. 7); the second counts B_2, the weight-2 dual words, from the
 sizes of the F_q^*-orbits in D.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .cyclotomic import _kronecker_nonneg
 from .field import (Element, TowerSpec, relative_trace_codes,
                     subfield_element, trace_zero_indicator)
-
-_CHUNK_CELLS = 1 << 20  # bound on rows*|H| per vectorized block
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,15 +197,8 @@ class WeightDistribution:
         return f"[{self.n},{self.dim}] {body}"
 
 
-def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
-    """For each s in [0, q^k - 1): the number of d in D with
-    Tr_{q^k/q}(alpha^(s+d)) = 0.  The weight of c_(alpha^s) is |D| minus
-    this count; the same array drives the exponential-sum checks.
-
-    Raises ValueError when D (after undoing the puncturing) is not a union
-    of cosets of the norm kernel, or not stable under x -> x^q: the shape
-    every built defining set has, and the one the class gather relies on.
-    """
+def _period_zero_counts(ds: DefiningSet) -> np.ndarray:
+    """zero_trace_counts over one period: Z_s for s in [0, g), as int64."""
     tower = ds.tower
     q = tower.q
     M = q ** tower.k - 1
@@ -215,48 +212,35 @@ def zero_trace_counts(ds: DefiningSet, workers: int = 1) -> np.ndarray:
     H = np.flatnonzero(per_class)
     if (per_class[H] != M // Mf).any() or (np.bincount(D) > 1).any():
         raise ValueError(f"{ds!r} is not a union of norm-kernel cosets")
-    if not per_class[H * q % Mf].all():
-        raise ValueError(f"{ds!r} is not stable under x -> x^q")
-    N0 = trace_zero_indicator(tower.p, tower.m, tower.e).reshape(
-        -1, Mf).sum(axis=0, dtype=np.int64)
-    # Z_s has period g (F_q^*-scaling) and Z_(qs) = Z_s (q-Frobenius), so
-    # one shift per class of t -> q t mod g is summed
     g = gcd(step, Mf)
-    t = np.arange(g, dtype=np.int64)
-    least = t.copy()
-    for _ in range(tower.f - 1):
-        t = t * q % g
-        np.minimum(least, t, out=least)
-    reps = np.flatnonzero(least == np.arange(g))
-    rows = max(1, _CHUNK_CELLS // max(1, H.size))
-
-    def run(lo: int, hi: int) -> np.ndarray:
-        out = np.empty(hi - lo, dtype=np.int64)
-        for start in range(lo, hi, rows):
-            stop = min(start + rows, hi)
-            idx = (reps[start:stop, None] + H[None, :]) % Mf
-            out[start - lo:stop - lo] = N0[idx].sum(axis=1)
-        return out
-
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or Mf < 4096:
-        sums = run(0, reps.size)
-    else:
-        bounds = np.linspace(0, reps.size, workers + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = np.concatenate(list(pool.map(
-                lambda i: run(int(bounds[i]), int(bounds[i + 1])),
-                range(workers))))
-    class_sums = np.empty(g, dtype=np.int64)
-    class_sums[reps] = sums
-    counts = class_sums[least]
+    N0g = trace_zero_indicator(tower.p, tower.m, tower.e).reshape(
+        -1, g).sum(axis=0, dtype=np.int64)
+    Hg = np.bincount(-H % g, minlength=g)
+    top = int(N0g.max())
+    lim = max(int(Hg.sum()) * top, int(Hg.max()), top)
+    Z, rest = np.divmod(
+        _kronecker_nonneg(g, N0g, Hg, max(lim.bit_length(), 1)), Mf // g)
+    if rest.any():
+        raise RuntimeError(f"{ds!r}: zero counts are not periodic mod {g}")
     if ds.punctured:
-        counts //= q - 1
-    return np.tile(counts, M // g)
+        Z //= q - 1
+    return Z
 
 
-def brute_weight_distribution(ds: DefiningSet, workers: int = 1,
+def zero_trace_counts(ds: DefiningSet) -> np.ndarray:
+    """For each s in [0, q^k - 1): the number of d in D with
+    Tr_{q^k/q}(alpha^(s+d)) = 0.  The weight of c_(alpha^s) is |D| minus
+    this count; the same array drives the exponential-sum checks.
+
+    Raises ValueError when D (after undoing the puncturing) is not a union
+    of cosets of the norm kernel: the shape every built defining set has,
+    and the one the period g relies on.
+    """
+    Z = _period_zero_counts(ds)
+    return np.tile(Z, (ds.tower.q ** ds.tower.k - 1) // Z.size)
+
+
+def brute_weight_distribution(ds: DefiningSet,
                               zeros: Optional[np.ndarray] = None
                               ) -> WeightDistribution:
     """Exact distribution over all q^k codewords.
@@ -269,9 +253,12 @@ def brute_weight_distribution(ds: DefiningSet, workers: int = 1,
     tower = ds.tower
     n = len(ds)
     if zeros is None:
-        zeros = zero_trace_counts(ds, workers=workers)
-    weights = n - zeros
-    hist = np.bincount(weights, minlength=n + 1)
+        # one period of g counts stands for all M, each M/g times
+        Z = _period_zero_counts(ds)
+        hist = np.bincount(n - Z, minlength=n + 1) * \
+            ((tower.q ** tower.k - 1) // Z.size)
+    else:
+        hist = np.bincount(n - zeros, minlength=n + 1)
     kernel = int(hist[0]) + 1  # nonzero b with c_b = 0, plus b = 0
     q = tower.q
     dim_drop = 0

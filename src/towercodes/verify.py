@@ -94,7 +94,7 @@ def _family_route(tower: TowerSpec, a_index: int, punctured: bool
     return None
 
 
-def suite_examples(workers: int = 1) -> List[CheckResult]:
+def suite_examples() -> List[CheckResult]:
     out = []
     for p, e, f, k, a_index, punctured, n, dim, rows in _EXAMPLES:
         tower = TowerSpec(p, e, f, k)
@@ -102,7 +102,7 @@ def suite_examples(workers: int = 1) -> List[CheckResult]:
         ds = build_defining_set(tower, a_index)
         if punctured:
             ds = puncture(ds)
-        brute = brute_weight_distribution(ds, workers=workers)
+        brute = brute_weight_distribution(ds)
         predicted = theory.predicted_distribution(tower, a_index,
                                                   punctured=punctured)
         family = _family_route(tower, a_index, punctured)
@@ -124,8 +124,7 @@ def suite_examples(workers: int = 1) -> List[CheckResult]:
 
     # the nonzero shift value does not matter: all a give one distribution
     tower = TowerSpec(2, 2, 2, 4)
-    dists = [brute_weight_distribution(build_defining_set(tower, a),
-                                       workers=workers)
+    dists = [brute_weight_distribution(build_defining_set(tower, a))
              for a in range(1, 4)]
     ok = all(d == dists[0] for d in dists)
     out.append(CheckResult("example q=4 f=2 k=4 shift invariance", ok,
@@ -354,8 +353,8 @@ def _a_samples(q: int) -> List[int]:
     return [1, 2, q - 1]
 
 
-def _grid_code(tower: TowerSpec, a_index: int, workers: int, tallies,
-               literal: bool, first=None):
+def _grid_code(tower: TowerSpec, a_index: int, tallies, literal: bool,
+               first=None):
     """Every grid check of the full code of one shift, and of its punctured
     companion at a = 0.  first is the (ds, zeros, brute) of an earlier
     nonzero shift of the tower, which this one must reproduce; returns
@@ -363,8 +362,8 @@ def _grid_code(tower: TowerSpec, a_index: int, workers: int, tallies,
     q, f, k = tower.q, tower.f, tower.k
     label = f"q={q} f={f} k={k} a={a_index}"
     ds = build_defining_set(tower, a_index)
-    zeros = zero_trace_counts(ds, workers=workers)
-    brute = brute_weight_distribution(ds, workers=workers, zeros=zeros)
+    zeros = zero_trace_counts(ds)
+    brute = brute_weight_distribution(ds, zeros=zeros)
     tallies["total"].record(brute.total() == q ** brute.dim, label)
     tallies["singleton"].record(
         theory.singleton_slack(*brute.params()) >= 0, label)
@@ -375,9 +374,8 @@ def _grid_code(tower: TowerSpec, a_index: int, workers: int, tallies,
         divisible = all(w % (q - 1) == 0 for w in brute.counts if w)
         tallies["scaling"].record(divisible, label)
         pds = puncture(ds)
-        pzeros = zero_trace_counts(pds, workers=workers)
-        pbrute = brute_weight_distribution(pds, workers=workers,
-                                           zeros=pzeros)
+        pzeros = zero_trace_counts(pds)
+        pbrute = brute_weight_distribution(pds, zeros=pzeros)
         shrunk = {0: 1}
         shrunk.update({w // (q - 1): c for w, c in brute.counts.items() if w})
         # the kernel derives punctured counts from full orbits; recount a
@@ -443,7 +441,7 @@ def _grid_code(tower: TowerSpec, a_index: int, workers: int, tallies,
     return ds, zeros, brute
 
 
-def suite_grid(workers: int = 1) -> List[CheckResult]:
+def suite_grid() -> List[CheckResult]:
     names = ("closed vs brute", "family routes", "pointwise sums",
              "literal sums", "solution counts", "shift invariance",
              "scaling", "total", "singleton", "distance bounds", "guards")
@@ -451,7 +449,7 @@ def suite_grid(workers: int = 1) -> List[CheckResult]:
     for tower in grid_towers():
         literal = tower.q ** tower.k <= _LITERAL_BUDGET and tower.q <= 16
         if tower.f > 1:
-            _grid_code(tower, 0, workers, tallies, literal)
+            _grid_code(tower, 0, tallies, literal)
         else:
             try:
                 build_defining_set(tower, 0)
@@ -462,21 +460,20 @@ def suite_grid(workers: int = 1) -> List[CheckResult]:
                 empty_ok, f"q={tower.q} k={tower.k} a=0 empty set")
         first = None
         for a_index in _a_samples(tower.q):
-            got = _grid_code(tower, a_index, workers, tallies, literal,
-                             first)
+            got = _grid_code(tower, a_index, tallies, literal, first)
             first = first or got
     return [tallies[name].result() for name in names]
 
 
-_SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
-    "examples": lambda workers: suite_examples(workers=workers),
-    "lemmas": lambda workers: suite_lemmas(),
-    "grid": lambda workers: suite_grid(workers=workers),
+_SUITES: Dict[str, Callable[[], List[CheckResult]]] = {
+    "examples": suite_examples,
+    "lemmas": suite_lemmas,
+    "grid": suite_grid,
 }
 
 
-def run_suite(name: str, workers: int = 1) -> List[CheckResult]:
+def run_suite(name: str) -> List[CheckResult]:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; "
                          f"choose from {sorted(_SUITES)}")
-    return _SUITES[name](workers)
+    return _SUITES[name]()

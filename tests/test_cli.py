@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -136,23 +137,25 @@ def test_search_is_byte_stable(capsys):
     assert first == second
 
 
-def test_workers_flag_is_invisible_in_output(capsys, pool_sizes):
+def test_workers_flag_is_invisible_in_output(capsys):
     _, one, _ = run(capsys, "search", "--budget", "128", "--workers", "1")
     _, four, _ = run(capsys, "search", "--budget", "128", "--workers", "4")
     assert one == four
-    _, c1, _ = run(capsys, "code", "--p", "3", "--e", "1", "--f", "2",
-                   "--k", "8", "--a", "1", "--workers", "1")
-    _, c4, _ = run(capsys, "code", "--p", "3", "--e", "1", "--f", "2",
-                   "--k", "8", "--a", "1", "--workers", "4")
-    assert c1 == c4
-    assert pool_sizes == []  # q^f - 1 < 4096: one thread whatever the flag
-    # q^f - 1 = 6560: --workers 4 splits the shifts over the two CPUs
-    _, b1, _ = run(capsys, "code", "--p", "3", "--e", "1", "--f", "8",
-                   "--k", "8", "--a", "1", "--workers", "1")
-    assert pool_sizes == []
-    _, b4, _ = run(capsys, "code", "--p", "3", "--e", "1", "--f", "8",
-                   "--k", "8", "--a", "1", "--workers", "4")
-    assert b1 == b4 and pool_sizes == [2]
+    # q^f - 1 = 8 and 6560
+    for f in ("2", "8"):
+        _, c1, _ = run(capsys, "code", "--p", "3", "--e", "1", "--f", f,
+                       "--k", "8", "--a", "1", "--workers", "1")
+        _, c4, _ = run(capsys, "code", "--p", "3", "--e", "1", "--f", f,
+                       "--k", "8", "--a", "1", "--workers", "4")
+        assert c1 == c4
+
+
+def test_search_4096_matches_reference_csv(capsys):
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / \
+        "reference" / "search_4096.csv"
+    code, out, err = run(capsys, "search", "--budget", "4096")
+    assert code == 0 and err == ""
+    assert out == reference.read_text()
 
 
 def test_parameter_errors_exit_2(capsys):
@@ -183,15 +186,16 @@ def test_workers_below_one_exit_2(capsys, argv, workers):
 
 
 def test_failed_consistency_check_exits_1(capsys, monkeypatch):
+    # brute_weight_distribution reads one period of the counts
     from towercodes import codes
-    honest = codes.zero_trace_counts
+    honest = codes._period_zero_counts
 
-    def corrupt(ds, workers=1):
-        zeros = honest(ds, workers)
+    def corrupt(ds):
+        zeros = honest(ds)
         zeros[0] += 1
         return zeros
 
-    monkeypatch.setattr(codes, "zero_trace_counts", corrupt)
+    monkeypatch.setattr(codes, "_period_zero_counts", corrupt)
     code, out, err = run(capsys, "code", "--p", "2", "--e", "1", "--f", "2",
                          "--k", "4", "--a", "1")
     assert code == 1 and out == ""

@@ -158,9 +158,8 @@ def test_puncture_matches_orbit_min_loop(tower):
 @given(tower=st.sampled_from(grid_towers(1 << 10)), data=st.data())
 def test_puncture_properties(tower, data):
     # on the built a = 0 set, or on any union of norm-kernel cosets that is
-    # stable under F_q^* scaling and x -> x^q, as every built set is: the
-    # exponents whose residue mod g = gcd(step, q^f - 1) lies in the
-    # q-Frobenius closure of a drawn set of classes
+    # stable under F_q^* scaling, Frobenius-stable or not: the exponents
+    # whose residue mod g = gcd(step, q^f - 1) lies in a drawn set of classes
     field = tower.field()
     M = field.mult_order
     step = field.subfield_exp(tower.e)
@@ -170,8 +169,7 @@ def test_puncture_properties(tower, data):
         g = gcd(step, tower.q ** tower.f - 1)
         classes = data.draw(st.sets(st.integers(0, g - 1), min_size=1))
         keep = np.zeros(g, dtype=bool)
-        for i in range(tower.f):
-            keep[[c * tower.q ** i % g for c in classes]] = True
+        keep[list(classes)] = True
         s = np.arange(M)
         full = DefiningSet(tower, 0, None, s[keep[s % g]])
     small = puncture(full)
@@ -207,46 +205,6 @@ def test_punctured_distribution_golden():
     assert dist.pairs() == [(0, 1), (12, 204), (16, 51)]
 
 
-def test_workers_do_not_change_counts():
-    # reduced modulus q^f - 1 >= 4096, so the threaded path actually splits
-    tower = TowerSpec(3, 1, 8, 8)
-    assert tower.q ** tower.f - 1 >= 4096
-    ds = build_defining_set(tower, 1)
-    base = zero_trace_counts(ds, workers=1)
-    assert np.array_equal(base, zero_trace_counts(ds, workers=4))
-    assert np.array_equal(base, zero_trace_counts(ds, workers=3))
-
-
-def test_workers_clamped_to_cpu_count(monkeypatch):
-    # a fake pool records its size and runs the parts inline, so no thread
-    # starts; the request stays small so that an unclamped run is harmless
-    from towercodes import codes
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(codes.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(codes, "ThreadPoolExecutor", InlinePool)
-    ds = build_defining_set(TowerSpec(3, 1, 8, 8), 1)
-    counts = zero_trace_counts(ds, workers=64)
-    assert sizes == [3]
-    assert np.array_equal(counts, zero_trace_counts(ds, workers=1))
-    monkeypatch.setattr(codes.os, "cpu_count", lambda: None)
-    assert np.array_equal(counts, zero_trace_counts(ds, workers=64))
-    assert sizes == [3]
-
-
 def _literal_zero_counts(ds):
     # Z[s] = sum over d in D of z[(s + d) mod M], one rotation per d
     z = ds.tower.field().trace_zero_indicator(ds.tower.e).astype(np.int64)
@@ -265,11 +223,60 @@ def test_zero_counts_match_literal_sum(tower):
                               _literal_zero_counts(ds)), ds
 
 
+def _class_gather_zero_counts(ds):
+    # Z_s = sum_{h in D mod Mf} N0[(s + h) mod Mf], gathered at the least
+    # shift of each class of t -> q t mod g and spread over its class; it
+    # relies on Z_(qs) = Z_s, so D must be stable under x -> x^q
+    tower, q = ds.tower, ds.tower.q
+    M, Mf = q ** tower.k - 1, q ** tower.f - 1
+    step = M // (q - 1)
+    D = ds.elements
+    if ds.punctured:
+        D = (D[:, None] + step * np.arange(q - 1)).ravel()
+    H = np.unique(D % Mf)
+    N0 = field_module.trace_zero_indicator(tower.p, tower.m, tower.e) \
+        .reshape(-1, Mf).sum(axis=0, dtype=np.int64)
+    g = gcd(step, Mf)
+    t = np.arange(g)
+    least = t.copy()
+    for _ in range(tower.f - 1):
+        t = t * q % g
+        np.minimum(least, t, out=least)
+    reps = np.flatnonzero(least == np.arange(g))
+    sums = np.empty(g, dtype=np.int64)
+    rows = max(1, (1 << 20) // H.size)
+    for lo in range(0, reps.size, rows):
+        r = reps[lo:lo + rows]
+        sums[r] = N0[(r[:, None] + H) % Mf].sum(axis=1)
+    counts = sums[least]
+    if ds.punctured:
+        counts //= q - 1
+    return np.tile(counts, M // g)
+
+
+@pytest.mark.parametrize("tower", [
+    TowerSpec(3, 1, 8, 8),    # Mf = 6560
+    TowerSpec(2, 1, 14, 14),  # Mf = 16383
+    TowerSpec(2, 1, 8, 16),   # q^k = 2^16, g = 255
+], ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_zero_counts_match_class_gather(tower):
+    # past the literal sum's 2^13: the class gather is the reference, and
+    # the counts sum to |D| (q^(k-1) - 1), the trace-zero b per d
+    q = tower.q
+    sets = [build_defining_set(tower, a) for a in (0, 1)]
+    if q > 2:
+        sets.append(puncture(sets[0]))
+    for ds in sets:
+        Z = zero_trace_counts(ds)
+        assert np.array_equal(Z, _class_gather_zero_counts(ds)), ds
+        assert int(Z.sum()) == len(ds) * (q ** (tower.k - 1) - 1), ds
+
+
 @pytest.mark.parametrize("tower", grid_towers(1 << 12),
                          ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
 def test_zero_counts_have_the_kernel_symmetries(tower):
-    # zero_trace_counts sums one shift per class of s under s -> s + sigma
-    # (F_q^* scaling) and s -> q s (q-Frobenius); both must hold for the
+    # s -> s + sigma (F_q^* scaling) gives zero_trace_counts its period g,
+    # and s -> q s (q-Frobenius) is a symmetry too; both must hold for the
     # literal sum, punctured sets included
     q = tower.q
     M = tower.field().mult_order
@@ -300,8 +307,8 @@ def test_grid_punctured_recount_catches_rotated_counts(monkeypatch):
     from towercodes import verify
     honest = verify.zero_trace_counts
 
-    def rotated(ds, workers=1):
-        zeros = honest(ds, workers)
+    def rotated(ds):
+        zeros = honest(ds)
         return np.roll(zeros, 1) if ds.punctured else zeros
 
     tower = TowerSpec(3, 1, 2, 4)
@@ -309,7 +316,7 @@ def test_grid_punctured_recount_catches_rotated_counts(monkeypatch):
     for counts, fails in ((honest, []), (rotated, [label])):
         monkeypatch.setattr(verify, "zero_trace_counts", counts)
         tallies = defaultdict(lambda: verify._Tally(""))
-        verify._grid_code(tower, 0, 1, tallies, literal=False)
+        verify._grid_code(tower, 0, tallies, literal=False)
         assert tallies["scaling"].cases == 2
         assert tallies["scaling"].failures == fails
         assert not tallies["closed vs brute"].failures
@@ -342,9 +349,9 @@ def test_non_coset_defining_set_raises():
         zero_trace_counts(bad)
 
 
-def test_frobenius_unstable_defining_set_raises():
+def test_frobenius_unstable_defining_set_is_counted_exactly():
     # D = {1} in F_16 is one norm-kernel coset (q^f = q^k), but x -> x^2
-    # moves it, and the class gather would give Z_2 = 1 for a literal 0
+    # moves it, so Z_2 != Z_1: the correlation needs no Frobenius symmetry
     tower = TowerSpec(2, 1, 4, 4)
     field = tower.field()
 
@@ -353,11 +360,9 @@ def test_frobenius_unstable_defining_set_raises():
                 for s in range(15)]
 
     assert literal([1]) == [1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1]
-    with pytest.raises(ValueError, match=r"not stable under x -> x\^q"):
-        zero_trace_counts(DefiningSet(tower, 0, None, np.array([1])))
-    # its Frobenius closure is accepted and counted exactly
-    closure = DefiningSet(tower, 0, None, np.array([1, 2, 4, 8]))
-    assert zero_trace_counts(closure).tolist() == literal([1, 2, 4, 8])
+    for D in ([1], [1, 2, 4, 8], [0, 3, 7]):
+        ds = DefiningSet(tower, 0, None, np.array(D))
+        assert zero_trace_counts(ds).tolist() == literal(D), D
 
 
 def test_pless_moment_guard():
