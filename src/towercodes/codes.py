@@ -13,7 +13,7 @@ results reproducible.
 
 Every route here but codeword, an oracle on the Field tables, reads only
 the trace sequence of F_{q^k} (field.trace_sequence) and exponent
-arithmetic; no log or Zech table is built.  With g = alpha^L,
+arithmetic; no log table is built.  With g = alpha^L,
 L = (q^k-1)/(q^f-1), Tr_{q^f/q}(g^c) is the sum of the conjugates
 g^(c q^j), j < f, so its window code is the digit-wise sum of theirs (XOR
 when p = 2), exact for every tower, p | k/f included.  D is one vectorized
@@ -65,7 +65,7 @@ sizes of the F_q^*-orbits in D.
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -240,25 +240,19 @@ def zero_trace_counts(ds: DefiningSet) -> np.ndarray:
     return np.tile(Z, (ds.tower.q ** ds.tower.k - 1) // Z.size)
 
 
-def brute_weight_distribution(ds: DefiningSet,
-                              zeros: Optional[np.ndarray] = None
-                              ) -> WeightDistribution:
+def brute_weight_distribution(ds: DefiningSet) -> WeightDistribution:
     """Exact distribution over all q^k codewords.
 
     Repeated codewords are merged: the zero-weight count determines the
     kernel of b -> c_b, every codeword occurs |kernel| times, and the
-    dimension is reported as log_q of the true codeword count.  A
-    precomputed zero_trace_counts array may be passed in.
+    dimension is reported as log_q of the true codeword count.
     """
     tower = ds.tower
     n = len(ds)
-    if zeros is None:
-        # one period of g counts stands for all M, each M/g times
-        Z = _period_zero_counts(ds)
-        hist = np.bincount(n - Z, minlength=n + 1) * \
-            ((tower.q ** tower.k - 1) // Z.size)
-    else:
-        hist = np.bincount(n - zeros, minlength=n + 1)
+    # one period of g counts stands for all M, each M/g times
+    Z = _period_zero_counts(ds)
+    hist = np.bincount(n - Z, minlength=n + 1) * \
+        ((tower.q ** tower.k - 1) // Z.size)
     kernel = int(hist[0]) + 1  # nonzero b with c_b = 0, plus b = 0
     q = tower.q
     dim_drop = 0

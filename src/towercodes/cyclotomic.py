@@ -28,7 +28,9 @@ zeta_{p*o}, so a single bincount gives every coefficient in O(p^deg)
 vectorized work.  The subfield trace comes from the absolute trace table
 of the whole field: for lambda with Tr_{p^m/p^deg}(lambda) = 1,
 Tr_{p^m/p}(lambda x) = Tr_{p^deg/p}(x) on F_{p^deg}, also when p divides
-m/deg (lambda = 1 when deg = m).
+m/deg.  lambda = 1 when deg = m; otherwise lambda = alpha^u for the least
+u at which relative_trace_codes(p, m, m, deg) holds the window code of 1.
+No log table is built.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .field import Element, Field, factorize, is_prime
+from .field import (Element, Field, factorize, is_prime,
+                    relative_trace_codes)
 
 _INT64_SAFE = 1 << 55  # headroom for fold growth inside int64
 
@@ -452,18 +455,6 @@ class AddChar:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _unit_trace_exp(field: Field, deg: int) -> int:
-    """Exponent u of some lambda = alpha^u with Tr_{p^m/p^deg}(lambda) = 1.
-
-    Then Tr_{p^m/p}(lambda x) = Tr_{p^deg/p}(x) for every x in F_{p^deg},
-    so the absolute trace table of the whole field serves every subfield.
-    The search stops at u = 0 (lambda = 1) when deg = m.
-    """
-    return next(u for u in range(field.mult_order)
-                if field.trace(u, field.m, deg) == field.one)
-
-
 def gauss_sum(field: Field, j: int, deg: Optional[int] = None) -> CycloInt:
     """G(psi_j, chi) over F_{p^deg} with chi canonical, by direct summation.
 
@@ -475,7 +466,12 @@ def gauss_sum(field: Field, j: int, deg: Optional[int] = None) -> CycloInt:
     o, order = psi.order, psi.group_order
     n = p * o  # gcd(p, o) = 1 since o | p^deg - 1
     i = np.arange(order, dtype=np.int64)
-    x = (_unit_trace_exp(field, psi.deg) + i * psi.step) % field.mult_order
+    u = 0
+    if psi.deg < field.m:
+        # the least u whose trace down to F_{p^deg} has the code of 1
+        u = int(np.argmax(relative_trace_codes(p, field.m, field.m, psi.deg)
+                          == field.alpha_powers.item(0)))
+    x = (u + i * psi.step) % field.mult_order
     tr = field.abs_trace_residues()[x]
     me = psi.j * i % order // (order // o)
     return CycloInt(n, np.bincount((tr * o + me * p) % n, minlength=n))

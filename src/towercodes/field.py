@@ -1,11 +1,11 @@
-"""Finite fields F_{p^m}: the absolute-trace m-sequence, and Field with
-Zech-logarithm tables built from it.
+"""Finite fields F_{p^m}: the absolute-trace m-sequence, and Field, a view
+of it for scalar arithmetic.
 
 Elements are represented in exponent form relative to a fixed primitive
 element alpha: ``None`` is the zero element and an integer ``t`` in
-``[0, p^m - 1)`` is ``alpha**t``.  Addition goes through the Zech table
-``1 + alpha**t = alpha**zech[t]``; every other operation is exponent
-arithmetic mod ``p^m - 1``.
+``[0, p^m - 1)`` is ``alpha**t``.  Addition adds the window codes of the
+two elements digit-wise and reads the exponent of the sum from the log
+table; every other operation is exponent arithmetic mod ``p^m - 1``.
 
 The modulus is the smallest primitive polynomial over F_p in lexicographic
 coefficient order (constant term least significant), so a given ``(p, m)``
@@ -31,20 +31,21 @@ recurrence, advanced by doubling, in O(M m) work and two int64 arrays.
 The window code of a sum is the digit-wise sum of the codes, so relative
 traces (relative_trace_codes), trace-zero indicators
 (trace_zero_indicator) and subfield elements by index (subfield_element)
-follow with no log or Zech table.  Each is cached per field and degree;
+follow with no log table.  Each is cached per field and degree;
 the enumeration and closed-form routes read only these.
 
-Field keeps log and Zech tables over the same codes for scalar
-arithmetic, Gauss sums and the oracles (Lidl-Niederreiter, ch. 2-3):
-alpha_powers is the shared window array, the log table one scatter of
-it, and the Zech table one gather of the log table at the digit-wise sum
-of each code with the code of 1.  A relative trace table is the log table
-gathered at relative_trace_codes, cached per degree pair; the absolute
-trace and the trace-zero indicators are the shared sequence arrays.
+Field serves the scalar oracles and the tests (Lidl-Niederreiter,
+ch. 2-3), and Gauss sums read its sequence.  Its construction builds no
+table: alpha_powers is the shared window array, and the one log table,
+a scatter of it, is built on its first read.  There is no Zech table:
+1 + alpha^t is the digit-wise sum of two codes, read back through the log
+table.  A relative trace table is the log table gathered at
+relative_trace_codes, cached per degree pair; the absolute trace and the
+trace-zero indicators are the shared sequence arrays.
 
 Every table is a read-only int64 numpy array (the trace-zero indicators
 are uint8), and -1 stands for the zero element wherever a table holds
-exponents (log, Zech and trace tables).  The scalar methods read single
+exponents (log and trace tables).  The scalar methods read single
 entries with ``.item()``, so the elements they return are plain Python
 ``int`` or ``None``.  One size budget, MAX_FIELD_ORDER, bounds every field
 and is checked before any table or sequence work.
@@ -53,7 +54,7 @@ and is checked before any table or sequence work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -350,9 +351,10 @@ def _digit_sum(codes: np.ndarray, indices, p: int, m: int) -> np.ndarray:
     return out
 
 
-def _add_code(codes: np.ndarray, code: int, p: int, m: int) -> np.ndarray:
-    """Digit-wise sum mod p of every base-p code in `codes` with the one
-    code `code`, for codes of m digits.  XOR when p = 2.
+def _add_code(codes, code: int, p: int, m: int):
+    """Digit-wise sum mod p of `codes`, an int or an int64 array of base-p
+    codes of m digits, with the one code `code`, returned as an int or an
+    array to match `codes`.  XOR when p = 2.
 
     Otherwise the plain integer sum is right but for the carries: where
     digit i of x, x // p^i - p (x // p^(i+1)), reaches p - c_i, the digit
@@ -361,11 +363,13 @@ def _add_code(codes: np.ndarray, code: int, p: int, m: int) -> np.ndarray:
     if p == 2:
         return codes ^ code
     out = codes + code
-    for i in range(m):
-        c = code // p ** i % p
+    low = 1  # p^i
+    for _ in range(m):
+        high = low * p
+        c = code // low % p
         if c:
-            digit = codes // p ** i - codes // p ** (i + 1) * p
-            out -= (digit >= p - c) * p ** (i + 1)
+            out -= (codes // low - codes // high * p >= p - c) * high
+        low = high
     return out
 
 
@@ -441,10 +445,10 @@ def subfield_element(p: int, m: int, deg: int, index: int
 
 
 class Field:
-    """F_{p^m} with log and Zech tables over the window codes of its trace
-    sequence: alpha_powers[t] is the code of alpha^t, _dlog maps a code
-    back to its exponent (-1 at code 0, the zero element), and
-    1 + alpha^t = alpha^zech[t]."""
+    """F_{p^m} as a view of its trace sequence, for the scalar oracles and
+    the tests: alpha_powers[t] is the window code of alpha^t, and _dlog,
+    built on its first read, maps a code back to its exponent (-1 at code
+    0, the zero element)."""
 
     def __init__(self, p: int, m: int):
         check_field_budget(p, m)
@@ -455,26 +459,21 @@ class Field:
         self.p = p
         self.m = m
         self.order = p ** m
-        self.mult_order = M = self.order - 1
+        self.mult_order = self.order - 1
         self.modulus = primitive_modulus(p, m)
         # trace_sequence has checked that the windows are the nonzero
         # codes, each once
-        seq, windows = trace_sequence(p, m)
-        dlog = np.full(self.order, -1, dtype=np.int64)
-        dlog[windows] = np.arange(M)
-        # the code of 1 + alpha^t is windows[t] plus windows[0], the code
-        # of 1, digit-wise; the one t with alpha^t = -1 reaches code 0,
-        # where dlog holds -1 for zero
-        zech = dlog[_add_code(windows, windows.item(0), p, m)]
-        for table in (dlog, zech):
-            table.flags.writeable = False
-        self.alpha_powers = windows
-        self._dlog = dlog
-        self.zech = zech
-        self._seq = seq
+        self._seq, self.alpha_powers = trace_sequence(p, m)
         # Tr(c alpha^u) = c for c in F_p once Tr(alpha^u) = 1
-        self._unit = int(np.argmax(seq == 1))
+        self._unit = int(np.argmax(self._seq == 1))
         self._subtables: Dict[Tuple[int, int], np.ndarray] = {}
+
+    @cached_property
+    def _dlog(self) -> np.ndarray:
+        dlog = np.full(self.order, -1, dtype=np.int64)
+        dlog[self.alpha_powers] = np.arange(self.mult_order)
+        dlog.flags.writeable = False
+        return dlog
 
     # -- elements -------------------------------------------------------
 
@@ -506,14 +505,12 @@ class Field:
             return y
         if y is None:
             return x
-        if x > y:
-            x, y = y, x
-        z = self.zech.item(y - x)
-        if z < 0:
-            return None
-        r = x + z
-        M = self.mult_order
-        return r - M if r >= M else r
+        # the code of a sum is the digit-wise sum of the codes; the one
+        # with y = -x is code 0, where _dlog holds -1 for zero
+        codes = self.alpha_powers
+        z = self._dlog.item(_add_code(codes.item(x), codes.item(y),
+                                      self.p, self.m))
+        return None if z < 0 else z
 
     def neg(self, x: Element) -> Element:
         if x is None or self.p == 2:

@@ -363,7 +363,7 @@ def _grid_code(tower: TowerSpec, a_index: int, tallies, literal: bool,
     label = f"q={q} f={f} k={k} a={a_index}"
     ds = build_defining_set(tower, a_index)
     zeros = zero_trace_counts(ds)
-    brute = brute_weight_distribution(ds, zeros=zeros)
+    brute = brute_weight_distribution(ds)
     tallies["total"].record(brute.total() == q ** brute.dim, label)
     tallies["singleton"].record(
         theory.singleton_slack(*brute.params()) >= 0, label)
@@ -375,7 +375,7 @@ def _grid_code(tower: TowerSpec, a_index: int, tallies, literal: bool,
         tallies["scaling"].record(divisible, label)
         pds = puncture(ds)
         pzeros = zero_trace_counts(pds)
-        pbrute = brute_weight_distribution(pds, zeros=pzeros)
+        pbrute = brute_weight_distribution(pds)
         shrunk = {0: 1}
         shrunk.update({w // (q - 1): c for w, c in brute.counts.items() if w})
         # the kernel derives punctured counts from full orbits; recount a

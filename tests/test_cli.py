@@ -268,6 +268,20 @@ def test_huge_fields_exceed_budget_before_any_work(argv):
     assert "exceeds budget" in proc.stderr
 
 
+@pytest.mark.parametrize("cmd", [("field",), ("gauss", "--j", "1")],
+                         ids=["field", "gauss"])
+@pytest.mark.parametrize("p,e,message", [
+    ("4", "1", "p must be prime, got 4"),
+    ("1", "1", "p must be prime, got 1"),
+    ("2", "0", "extension degree must be positive, got 0"),
+], ids=["p4", "p1", "e0"])
+def test_invalid_fields_exit_2(capsys, cmd, p, e, message):
+    code, out, err = run(capsys, cmd[0], "--p", p, "--e", e, "--k", "3",
+                         *cmd[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_parser_is_built_once_and_reused(capsys):
     assert cli._parser() is cli._parser()
     argv = ("code", "--p", "2", "--e", "1", "--f", "2", "--k", "4")

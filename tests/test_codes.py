@@ -16,7 +16,8 @@ from towercodes.codes import (
     puncture,
     zero_trace_counts,
 )
-from towercodes import cli, field as field_module, theory
+from towercodes import cli, codes as codes_module, field as field_module
+from towercodes import theory
 from towercodes.field import Field, TowerSpec
 from towercodes.verify import _a_samples, grid_towers
 
@@ -183,7 +184,7 @@ def test_tables_are_read_only():
     tower = TowerSpec(2, 2, 2, 4)
     field = tower.field()
     full = build_defining_set(tower, 0)
-    tables = [field.alpha_powers, field._dlog, field.zech,
+    tables = [field.alpha_powers, field._dlog,
               field.trace_exp_subtable(4, 2), field.abs_trace_residues(),
               field.trace_zero_indicator(2), full.elements,
               puncture(full).elements]
@@ -365,26 +366,46 @@ def test_frobenius_unstable_defining_set_is_counted_exactly():
         assert zero_trace_counts(ds).tolist() == literal(D), D
 
 
-def test_pless_moment_guard():
+def _corrupt_period_counts(monkeypatch, change):
+    # brute_weight_distribution histograms one period of the counts
+    honest = codes_module._period_zero_counts
+
+    def corrupt(ds):
+        zeros = honest(ds)
+        change(len(ds), zeros)
+        return zeros
+
+    monkeypatch.setattr(codes_module, "_period_zero_counts", corrupt)
+
+
+def test_pless_moment_guard(monkeypatch):
     ds = build_defining_set(TowerSpec(2, 1, 2, 4), 1)
-    zeros = zero_trace_counts(ds)
-    zeros[0] += 1  # one codeword loses a nonzero coordinate
-    with pytest.raises(RuntimeError, match="Pless"):
-        brute_weight_distribution(ds, zeros=zeros)
+
+    def change(n, zeros):
+        zeros[0] += 1  # the codewords of one period count lose a coordinate
+
+    _corrupt_period_counts(monkeypatch, change)
+    with pytest.raises(RuntimeError, match="first Pless moment"):
+        brute_weight_distribution(ds)
 
 
-def test_second_pless_moment_guard():
-    # (2,1,2,6) a = 1 is [42, 6] with weights 20 and 24, kernel 1: moving
-    # one word from 20 to 21 and another from 20 to 19 keeps the total and
-    # sum w A_w, and raises sum w^2 A_w by 2
+def test_second_pless_moment_guard(monkeypatch):
+    # (2,1,2,6) a = 1 is [42, 6] with weights 20 and 24, kernel 1, and its
+    # g = 3 period counts read weights 20, 20 and 24, each for 21 words:
+    # moving one period count from 20 to 21 and the other from 20 to 19
+    # keeps the total and sum w A_w, and raises sum w^2 A_w by 2 * 21
     ds = build_defining_set(TowerSpec(2, 1, 2, 6), 1)
-    zeros = zero_trace_counts(ds)
-    brute_weight_distribution(ds, zeros=zeros.copy())
-    first, second = np.flatnonzero(len(ds) - zeros == 20)[:2]
-    zeros[first] -= 1
-    zeros[second] += 1
+    brute_weight_distribution(ds)
+
+    def change(n, zeros):
+        assert (n - zeros).tolist().count(20) == 2 and zeros.size == 3
+        first, second = np.flatnonzero(n - zeros == 20)
+        zeros[first] -= 1
+        zeros[second] += 1
+
+    _corrupt_period_counts(monkeypatch, change)
     with pytest.raises(RuntimeError, match="second Pless moment"):
-        brute_weight_distribution(ds, zeros=zeros)
+        brute_weight_distribution(ds)
 
 
 def _dual_weight_two(ds):
@@ -420,7 +441,7 @@ def test_second_pless_moment_holds_on_the_grid(tower):
 
 
 def _table_route(tower, a_index):
-    """a and D from the log/Zech tables of the top field: the route the
+    """a and D from the log table of the top field: the route the
     trace sequence replaced, kept as its oracle."""
     field = tower.field()
     a = field.subfield_element_from_index(a_index, tower.e)
@@ -509,13 +530,6 @@ def test_budget_guard():
         build_defining_set(TowerSpec(2, 1, 1, 21), 1)
     with pytest.raises(ValueError, match="exceeds budget"):
         build_defining_set(TowerSpec(3, 1, 2, 14), 0)
-
-
-def test_precomputed_zeros_short_circuit():
-    ds = build_defining_set(TowerSpec(2, 1, 2, 4), 1)
-    zeros = zero_trace_counts(ds)
-    assert brute_weight_distribution(ds, zeros=zeros) == \
-        brute_weight_distribution(ds)
 
 
 def test_weight_distribution_methods():

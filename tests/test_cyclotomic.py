@@ -22,7 +22,8 @@ from towercodes.cyclotomic import (
     unity_power_sums,
     zeta,
 )
-from towercodes.field import TowerSpec, get_field
+from towercodes import cli, verify
+from towercodes.field import Field, TowerSpec, get_field
 
 
 def sample_elements(n):
@@ -455,6 +456,48 @@ def test_monomial_sum_routes_agree():
         assert direct == via
     with pytest.raises(ValueError):
         monomial_char_sum(F, tower, None)
+
+
+def test_gauss_sums_and_commands_build_no_log_table(monkeypatch, capsys):
+    built = []
+    init = Field.__init__
+
+    def spy(self, p, m):
+        init(self, p, m)
+        built.append(self)
+
+    monkeypatch.setattr(Field, "__init__", spy)
+    get_field.cache_clear()  # so that every field is built here
+    for p, m, deg in ((2, 6, 6), (3, 4, 4), (2, 6, 3), (2, 8, 4),
+                      (2, 12, 6), (3, 9, 3)):
+        F = get_field(p, m)
+        for j in (0, 1, 2):
+            g = gauss_sum(F, j, deg=deg)
+            assert g * g.conj() == (1 if j == 0 else p ** deg)
+        assert MultChar(F, 1, deg).value_at_minus_one() in (1, -1)
+    big = get_field(2, 6)
+    assert davenport_hasse_lift(gauss_sum(big, 1, deg=3), 2) == \
+        gauss_sum(big, lifted_char_index(8, 2, 1))
+    tower = TowerSpec(2, 1, 3, 6)
+    direct, via = monomial_char_sum(tower.field(), tower, 5)
+    assert direct == via
+    for check in (verify._check_trivial_gauss,
+                  verify._check_gauss_conjugation, verify._check_lifts,
+                  verify._check_monomial_sums):
+        assert check().ok
+    assert cli.main(["gauss", "--p", "3", "--e", "1", "--k", "4",
+                     "--j", "5"]) == 0
+    assert cli.main(["field", "--p", "2", "--e", "2", "--k", "5"]) == 0
+    capsys.readouterr()
+    assert built and all("_dlog" not in vars(F) for F in built)
+    # the first addition builds the one log table of its field
+    F = built[0]
+    assert F.add(0, 1) == F.add(1, 0)
+    table = F._dlog
+    assert not table.flags.writeable
+    assert [G for G in built if "_dlog" in vars(G)] == [F]
+    F.add(2, 3)
+    assert F._dlog is table
 
 
 def test_unity_power_sums_closed_values():
