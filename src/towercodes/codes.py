@@ -38,9 +38,9 @@ Mf occurs M/Mf times: two bincounts check that, in O(M) and without a sort.
 The trace is F_q-linear, so Z_(s + sigma) = Z_s with alpha^sigma
 generating F_q^*, sigma = (q^k-1)/(q-1); with the period Mf this leaves the
 period g = gcd(sigma, Mf) = N gcd(k/f, q-1), N = (q^f-1)/(q-1), for every
-union of norm-kernel cosets.  Z over one period is one exact cyclic
-correlation of length g.  Fold N0 and the indicator of H = D mod Mf to
-length g,
+union of norm-kernel cosets.  zero_trace_counts returns Z over one period,
+which every consumer reads at s mod g; it is one exact cyclic correlation
+of length g.  Fold N0 and the indicator of H = D mod Mf to length g,
 
     N0g[t] = sum_{u = t mod g} N0[u],    Hg[t] = |{h in H : -h = t mod g}|,
 
@@ -65,7 +65,7 @@ sizes of the F_q^*-orbits in D.
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -197,8 +197,16 @@ class WeightDistribution:
         return f"[{self.n},{self.dim}] {body}"
 
 
-def _period_zero_counts(ds: DefiningSet) -> np.ndarray:
-    """zero_trace_counts over one period: Z_s for s in [0, g), as int64."""
+def zero_trace_counts(ds: DefiningSet) -> np.ndarray:
+    """Z over one period, as g int64 counts, g = gcd((q^k-1)/(q-1), q^f-1):
+    Z[s % g] is the number of d in D with Tr_{q^k/q}(alpha^(s+d)) = 0 for
+    every s in [0, q^k - 1), and the weight of c_(alpha^s) is |D| minus it;
+    the same period drives the exponential-sum checks.
+
+    Raises ValueError when D (after undoing the puncturing) is not a union
+    of cosets of the norm kernel: the shape every built defining set has,
+    and the one the period g relies on.
+    """
     tower = ds.tower
     q = tower.q
     M = q ** tower.k - 1
@@ -227,21 +235,11 @@ def _period_zero_counts(ds: DefiningSet) -> np.ndarray:
     return Z
 
 
-def zero_trace_counts(ds: DefiningSet) -> np.ndarray:
-    """For each s in [0, q^k - 1): the number of d in D with
-    Tr_{q^k/q}(alpha^(s+d)) = 0.  The weight of c_(alpha^s) is |D| minus
-    this count; the same array drives the exponential-sum checks.
-
-    Raises ValueError when D (after undoing the puncturing) is not a union
-    of cosets of the norm kernel: the shape every built defining set has,
-    and the one the period g relies on.
-    """
-    Z = _period_zero_counts(ds)
-    return np.tile(Z, (ds.tower.q ** ds.tower.k - 1) // Z.size)
-
-
-def brute_weight_distribution(ds: DefiningSet) -> WeightDistribution:
-    """Exact distribution over all q^k codewords.
+def brute_weight_distribution(ds: DefiningSet,
+                              zeros: Optional[np.ndarray] = None
+                              ) -> WeightDistribution:
+    """Exact distribution over all q^k codewords, from `zeros`, the period
+    of zero_trace_counts(ds) (formed here when not given).
 
     Repeated codewords are merged: the zero-weight count determines the
     kernel of b -> c_b, every codeword occurs |kernel| times, and the
@@ -250,7 +248,7 @@ def brute_weight_distribution(ds: DefiningSet) -> WeightDistribution:
     tower = ds.tower
     n = len(ds)
     # one period of g counts stands for all M, each M/g times
-    Z = _period_zero_counts(ds)
+    Z = zero_trace_counts(ds) if zeros is None else zeros
     hist = np.bincount(n - Z, minlength=n + 1) * \
         ((tower.q ** tower.k - 1) // Z.size)
     kernel = int(hist[0]) + 1  # nonzero b with c_b = 0, plus b = 0

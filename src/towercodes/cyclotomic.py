@@ -164,7 +164,7 @@ def _kronecker_nonneg(n: int, a: np.ndarray, b: np.ndarray,
     """Cyclic convolution of two nonnegative vectors whose entries and
     cyclic product coefficients are all below 2^w, by one product of
     w-bit Kronecker packings.  Its callers are _conv_cyclic and the
-    zero-count correlation of codes._period_zero_counts."""
+    zero-count correlation of codes.zero_trace_counts."""
     # entries and digits pass through the narrowest of 8, 16, 32 and 64 bits
     dt = np.dtype(f"<u{1 << ((w + 7) // 8 - 1).bit_length()}")
     C = _pack(a, w, dt) * _pack(b, w, dt)

@@ -265,13 +265,13 @@ def exp_sum_grouped(ds: DefiningSet, zeros: Optional[np.ndarray] = None
 
     Collapsing the y and z sums gives S_a(b) = q^2 Z_b - q n + [a = 0]
     q(q-1), where Z_b counts the zero trace coordinates of c_b; exact
-    integers.
+    integers, Z_(alpha^s) read from the period `zeros` at s mod g.
     """
     q = ds.tower.q
     n = len(ds)
-    if zeros is None:
-        zeros = zero_trace_counts(ds)
-    return q * q * zeros - q * n + (q * (q - 1) if ds.a_index == 0 else 0)
+    Z = zero_trace_counts(ds) if zeros is None else zeros
+    Z = Z[np.arange(q ** ds.tower.k - 1) % Z.size]
+    return q * q * Z - q * n + (q * (q - 1) if ds.a_index == 0 else 0)
 
 
 def exp_sum_closed(tower: TowerSpec, a_index: int, b: Element) -> int:

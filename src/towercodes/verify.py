@@ -363,7 +363,7 @@ def _grid_code(tower: TowerSpec, a_index: int, tallies, literal: bool,
     label = f"q={q} f={f} k={k} a={a_index}"
     ds = build_defining_set(tower, a_index)
     zeros = zero_trace_counts(ds)
-    brute = brute_weight_distribution(ds)
+    brute = brute_weight_distribution(ds, zeros)
     tallies["total"].record(brute.total() == q ** brute.dim, label)
     tallies["singleton"].record(
         theory.singleton_slack(*brute.params()) >= 0, label)
@@ -375,14 +375,15 @@ def _grid_code(tower: TowerSpec, a_index: int, tallies, literal: bool,
         tallies["scaling"].record(divisible, label)
         pds = puncture(ds)
         pzeros = zero_trace_counts(pds)
-        pbrute = brute_weight_distribution(pds)
+        pbrute = brute_weight_distribution(pds, pzeros)
         shrunk = {0: 1}
         shrunk.update({w // (q - 1): c for w, c in brute.counts.items() if w})
         # the kernel derives punctured counts from full orbits; recount a
         # few directly over the punctured elements, with no orbit expansion
         z = trace_zero_indicator(tower.p, tower.m, tower.e)
         M = z.size
-        recount = all(int(pzeros[s]) == int(z[(s + pds.elements) % M].sum())
+        recount = all(int(pzeros[s % pzeros.size])
+                      == int(z[(s + pds.elements) % M].sum())
                       for s in {0, 1, M // 3, M - 1})
         same = pbrute == WeightDistribution(len(pds), brute.dim, shrunk, q)
         tallies["scaling"].record(same and recount, label + " punctured")
@@ -392,7 +393,7 @@ def _grid_code(tower: TowerSpec, a_index: int, tallies, literal: bool,
         tallies["shift invariance"].record(brute == first[2], label)
         if report.applicable:
             # scaling the shift by u^(k/f) scales the defining set by u,
-            # which rotates the zero-count array by dlog(u)
+            # which rotates the zero counts by dlog(u), mod their period
             field = tower.field()
             M = field.mult_order
             u = next(t for t in range(0, M, M // (q - 1))

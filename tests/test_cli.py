@@ -188,14 +188,14 @@ def test_workers_below_one_exit_2(capsys, argv, workers):
 def test_failed_consistency_check_exits_1(capsys, monkeypatch):
     # brute_weight_distribution reads one period of the counts
     from towercodes import codes
-    honest = codes._period_zero_counts
+    honest = codes.zero_trace_counts
 
     def corrupt(ds):
         zeros = honest(ds)
         zeros[0] += 1
         return zeros
 
-    monkeypatch.setattr(codes, "_period_zero_counts", corrupt)
+    monkeypatch.setattr(codes, "zero_trace_counts", corrupt)
     code, out, err = run(capsys, "code", "--p", "2", "--e", "1", "--f", "2",
                          "--k", "4", "--a", "1")
     assert code == 1 and out == ""

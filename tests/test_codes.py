@@ -80,7 +80,7 @@ def test_codeword_weight_matches_kernel():
     field = tower.field()
     for s in range(0, field.mult_order, 17):
         w = sum(1 for c in codeword(ds, s) if c is not None)
-        assert w == len(ds) - int(zeros[s])
+        assert w == len(ds) - int(zeros[s % zeros.size])
 
 
 @pytest.mark.parametrize("key", sorted(BRUTE_GOLDENS))
@@ -177,7 +177,8 @@ def test_puncture_properties(tower, data):
     assert np.array_equal(small.elements, np.unique(full.elements % step))
     zs = zero_trace_counts(small)
     assert np.array_equal(zs * (tower.q - 1), zero_trace_counts(full))
-    assert np.array_equal(zs, _literal_zero_counts(small))
+    assert np.array_equal(_over_all_shifts(zs, M),
+                          _literal_zero_counts(small))
 
 
 def test_tables_are_read_only():
@@ -212,6 +213,11 @@ def _literal_zero_counts(ds):
     return sum((np.roll(z, -d) for d in ds.elements), np.zeros_like(z))
 
 
+def _over_all_shifts(Z, M):
+    # the period read at every s < M: Z_s = Z[s mod g]
+    return Z[np.arange(M) % Z.size]
+
+
 @pytest.mark.parametrize("tower", grid_towers(1 << 13),
                          ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
 def test_zero_counts_match_literal_sum(tower):
@@ -219,9 +225,22 @@ def test_zero_counts_match_literal_sum(tower):
     if tower.f > 1:
         full = build_defining_set(tower, 0)
         sets += [full, puncture(full)]
+    M = tower.q ** tower.k - 1
+    g = gcd(M // (tower.q - 1), tower.q ** tower.f - 1)
     for ds in sets:
-        assert np.array_equal(zero_trace_counts(ds),
+        Z = zero_trace_counts(ds)
+        assert Z.size == g, ds
+        assert np.array_equal(_over_all_shifts(Z, M),
                               _literal_zero_counts(ds)), ds
+
+
+@pytest.mark.parametrize("spec, a_index, g", [
+    ((2, 1, 2, 6), 1, 3),   # g = N = 3
+    ((3, 1, 2, 4), 1, 8),   # g = N gcd(k/f, q - 1) = 4 * 2
+], ids=["2-1-2-6", "3-1-2-4"])
+def test_zero_counts_are_one_period(spec, a_index, g):
+    assert zero_trace_counts(build_defining_set(TowerSpec(*spec),
+                                                a_index)).size == g
 
 
 def _class_gather_zero_counts(ds):
@@ -252,7 +271,7 @@ def _class_gather_zero_counts(ds):
     counts = sums[least]
     if ds.punctured:
         counts //= q - 1
-    return np.tile(counts, M // g)
+    return counts
 
 
 @pytest.mark.parametrize("tower", [
@@ -262,15 +281,18 @@ def _class_gather_zero_counts(ds):
 ], ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
 def test_zero_counts_match_class_gather(tower):
     # past the literal sum's 2^13: the class gather is the reference, and
-    # the counts sum to |D| (q^(k-1) - 1), the trace-zero b per d
+    # the counts over all M shifts, M/g per period, sum to
+    # |D| (q^(k-1) - 1), the trace-zero b per d
     q = tower.q
+    M = q ** tower.k - 1
     sets = [build_defining_set(tower, a) for a in (0, 1)]
     if q > 2:
         sets.append(puncture(sets[0]))
     for ds in sets:
         Z = zero_trace_counts(ds)
         assert np.array_equal(Z, _class_gather_zero_counts(ds)), ds
-        assert int(Z.sum()) == len(ds) * (q ** (tower.k - 1) - 1), ds
+        assert int(Z.sum()) * (M // Z.size) == \
+            len(ds) * (q ** (tower.k - 1) - 1), ds
 
 
 @pytest.mark.parametrize("tower", grid_towers(1 << 12),
@@ -323,6 +345,27 @@ def test_grid_punctured_recount_catches_rotated_counts(monkeypatch):
         assert not tallies["closed vs brute"].failures
 
 
+def test_grid_forms_one_correlation_per_distribution(monkeypatch):
+    # each grid code's period feeds its distribution, grouped sums,
+    # rotation and recount, so the kernel's product runs once per code
+    from towercodes import verify
+    calls = {"products": 0, "distributions": 0}
+
+    def spy(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(codes_module, "_kronecker_nonneg",
+                        spy("products", codes_module._kronecker_nonneg))
+    monkeypatch.setattr(verify, "brute_weight_distribution",
+                        spy("distributions",
+                            verify.brute_weight_distribution))
+    assert all(r.ok for r in verify.run_suite("grid"))
+    assert calls == {"products": 509, "distributions": 509}
+
+
 def test_non_coset_defining_set_raises():
     ds = build_defining_set(TowerSpec(2, 1, 2, 4), 1)
     for elements in (ds.elements[1:],
@@ -368,14 +411,14 @@ def test_frobenius_unstable_defining_set_is_counted_exactly():
 
 def _corrupt_period_counts(monkeypatch, change):
     # brute_weight_distribution histograms one period of the counts
-    honest = codes_module._period_zero_counts
+    honest = codes_module.zero_trace_counts
 
     def corrupt(ds):
         zeros = honest(ds)
         change(len(ds), zeros)
         return zeros
 
-    monkeypatch.setattr(codes_module, "_period_zero_counts", corrupt)
+    monkeypatch.setattr(codes_module, "zero_trace_counts", corrupt)
 
 
 def test_pless_moment_guard(monkeypatch):
