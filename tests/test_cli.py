@@ -1,5 +1,7 @@
 """Command-line entry points, exercised in-process through main()."""
 
+import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -156,6 +158,25 @@ def test_search_4096_matches_reference_csv(capsys):
     code, out, err = run(capsys, "search", "--budget", "4096")
     assert code == 0 and err == ""
     assert out == reference.read_text()
+
+
+def test_enumerate_requests_match_the_reference_digest(capsys):
+    # the benchmark's 15 full-size `code` requests of seed 1, in its order:
+    # the sha256 of their stdout is the reference digest of that workload
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reqs = workloads.make_requests("enumerate", 1, "full")
+    assert len(reqs) == 15
+    digest = hashlib.sha256()
+    for req in reqs:
+        code, out, err = run(capsys, *workloads.code_argv(req))
+        assert code == 0 and err == "", req
+        digest.update(out.encode())
+    want = json.loads((bench / "reference" / "digests.json").read_text())
+    assert digest.hexdigest() == want["full"]["enumerate"]
 
 
 def test_parameter_errors_exit_2(capsys):

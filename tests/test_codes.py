@@ -1,5 +1,6 @@
 """Defining sets, codeword maps, exhaustive weight distributions."""
 
+import tracemalloc
 from collections import defaultdict
 from math import gcd
 
@@ -54,6 +55,39 @@ def test_defining_set_satisfies_condition():
             hits = field.add(t, ds.a) is None
             assert hits == (s in member)
         assert list(ds.elements) == sorted(ds.elements)
+
+
+def _grid_codes(tower):
+    """The codes the grid checks on a tower: the sampled nonzero shifts,
+    and the a = 0 code with its punctured companion when f > 1."""
+    sets = [build_defining_set(tower, a) for a in _a_samples(tower.q)]
+    if tower.f > 1:
+        full = build_defining_set(tower, 0)
+        sets += [full, puncture(full)]
+    return sets
+
+
+@pytest.mark.parametrize("tower", grid_towers(1 << 10),
+                         ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_elements_are_the_literal_defining_set(tower):
+    # the exponents formed from the residues, against Tr(x^L) + a = 0
+    # evaluated in the Field tables; punctured: the least exponent of each
+    # F_q^*-orbit of the literal set
+    field = tower.field()
+    M, Mf = field.mult_order, tower.q ** tower.f - 1
+    step = field.subfield_exp(tower.e)
+    ef = tower.e * tower.f
+    for ds in _grid_codes(tower):
+        literal = [s for s in field.nonzero()
+                   if field.add(field.trace(field.pow(s, tower.norm_exp),
+                                            ef, tower.e), ds.a) is None]
+        assert ds.residues.tolist() == sorted({s % Mf for s in literal}), ds
+        if ds.punctured:
+            literal = sorted({min((s + i * step) % M
+                                  for i in range(tower.q - 1))
+                              for s in literal})
+        assert ds.elements.tolist() == literal, ds
+        assert len(ds) == len(literal), ds
 
 
 def test_empty_defining_set_raises():
@@ -172,7 +206,7 @@ def test_puncture_properties(tower, data):
         keep = np.zeros(g, dtype=bool)
         keep[list(classes)] = True
         s = np.arange(M)
-        full = DefiningSet(tower, 0, None, s[keep[s % g]])
+        full = DefiningSet.from_elements(tower, 0, None, s[keep[s % g]])
     small = puncture(full)
     assert np.array_equal(small.elements, np.unique(full.elements % step))
     zs = zero_trace_counts(small)
@@ -187,8 +221,8 @@ def test_tables_are_read_only():
     full = build_defining_set(tower, 0)
     tables = [field.alpha_powers, field._dlog,
               field.trace_exp_subtable(4, 2), field.abs_trace_residues(),
-              field.trace_zero_indicator(2), full.elements,
-              puncture(full).elements]
+              field.trace_zero_indicator(2), full.residues, full.elements,
+              puncture(full).residues, puncture(full).elements]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
@@ -367,30 +401,46 @@ def test_grid_forms_one_correlation_per_distribution(monkeypatch):
 
 
 def test_non_coset_defining_set_raises():
+    # a set given as exponents is checked where it is constructed
     ds = build_defining_set(TowerSpec(2, 1, 2, 4), 1)
     for elements in (ds.elements[1:],
                      np.concatenate([ds.elements[:1], ds.elements])):
-        bad = DefiningSet(ds.tower, ds.a_index, ds.a, elements)
         with pytest.raises(ValueError, match="norm-kernel cosets"):
-            zero_trace_counts(bad)
+            DefiningSet.from_elements(ds.tower, ds.a_index, ds.a, elements)
     # a punctured set whose reps share an F_q^* orbit
     full = build_defining_set(TowerSpec(2, 2, 2, 4), 0)
     step = full.tower.field().subfield_exp(full.tower.e)
     reps = puncture(full).elements
-    bad = DefiningSet(full.tower, 0, full.a,
-                      np.concatenate([reps[:1], reps[:1] + step, reps[2:]]),
-                      punctured=True)
     with pytest.raises(ValueError, match="norm-kernel cosets"):
-        zero_trace_counts(bad)
+        DefiningSet.from_elements(
+            full.tower, 0, full.a,
+            np.concatenate([reps[:1], reps[:1] + step, reps[2:]]),
+            punctured=True)
     # d and d + (q^k - 1) in place of d + (q^f - 1): every residue mod
     # q^f - 1 keeps its count, but two elements agree mod q^k - 1
     M = ds.tower.field().mult_order
     Mf = ds.tower.q ** ds.tower.f - 1
     d = int(ds.elements[0])
     twins = np.append(ds.elements[ds.elements != d + Mf], d + M)
-    bad = DefiningSet(ds.tower, ds.a_index, ds.a, twins)
     with pytest.raises(ValueError, match="norm-kernel cosets"):
-        zero_trace_counts(bad)
+        DefiningSet.from_elements(ds.tower, ds.a_index, ds.a, twins)
+    # the given exponents pass, and keep their order
+    given = ds.elements[::-1]
+    assert DefiningSet.from_elements(ds.tower, ds.a_index, ds.a,
+                                     given).elements.tolist() == \
+        given.tolist()
+
+
+def test_residues_are_checked():
+    tower = TowerSpec(3, 1, 2, 4)  # residues below q^f - 1 = 8
+    assert DefiningSet(tower, 0, None, [1, 3]).residues.tolist() == [1, 3]
+    for residues in ([3, 1], [1, 1], [-1, 2], [2, 8]):
+        with pytest.raises(ValueError, match="increase strictly"):
+            DefiningSet(tower, 0, None, residues)
+    tower = TowerSpec(3, 1, 2, 2)  # g = 4: a punctured set holds h and h + 4
+    assert len(DefiningSet(tower, 0, None, [1, 5], punctured=True)) == 1
+    with pytest.raises(ValueError, match="closed under adding g = 4"):
+        DefiningSet(tower, 0, None, [1], punctured=True)
 
 
 def test_frobenius_unstable_defining_set_is_counted_exactly():
@@ -405,7 +455,7 @@ def test_frobenius_unstable_defining_set_is_counted_exactly():
 
     assert literal([1]) == [1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1]
     for D in ([1], [1, 2, 4, 8], [0, 3, 7]):
-        ds = DefiningSet(tower, 0, None, np.array(D))
+        ds = DefiningSet.from_elements(tower, 0, None, D)
         assert zero_trace_counts(ds).tolist() == literal(D), D
 
 
@@ -481,6 +531,72 @@ def test_second_pless_moment_holds_on_the_grid(tower):
             assert B2 == 0
         elif ds.a_index == 0:
             assert B2 == (q - 1) * (q - 2) * n // 2
+
+
+@pytest.mark.parametrize("tower", [t for t in grid_towers() if t.q > 2],
+                         ids=lambda t: f"{t.p}-{t.e}-{t.f}-{t.k}")
+def test_dual_weight_two_matches_the_orbit_bincount(tower):
+    # the closed form over the classes of H mod g, against the sizes of the
+    # F_q^*-orbits of the coordinates; the sampled shifts include
+    # gcd(k/f, q - 1) > 1 towers such as (3,1,2,4)
+    step = tower.field().subfield_exp(tower.e)
+    for ds in _grid_codes(tower):
+        orbits = np.bincount(ds.elements % step)
+        want = (tower.q - 1) * (int(orbits @ orbits) - len(ds)) // 2
+        assert codes_module._dual_weight_two(ds) == want, ds
+
+
+def test_puncturing_a_scaling_unstable_set():
+    # D = {1} in (3,1,2,2) is one norm-kernel coset that F_3^* moves: its
+    # punctured code has the one coordinate 1, read through the orbit {1, 5}
+    tower = TowerSpec(3, 1, 2, 2)
+    ds = DefiningSet.from_elements(tower, 0, None, [1])
+    small = puncture(ds)
+    assert ds.residues.tolist() == [1] and small.residues.tolist() == [1, 5]
+    assert small.elements.tolist() == [1] and len(small) == 1
+    assert zero_trace_counts(small).tolist() == [0, 1, 0, 0]
+    assert repr(brute_weight_distribution(small)) == "[1,1] 1 + 2z^1"
+
+
+def test_code_and_search_read_no_elements(monkeypatch, capsys):
+    # the enumeration route reads the residues only; `elements` is formed
+    # for codeword, the grid's recount and exp_sum_grouped's callers
+    read = []
+    lazy = DefiningSet.__dict__["elements"]
+
+    def spy(ds):
+        read.append(ds)
+        return lazy.func(ds)
+
+    monkeypatch.setattr(DefiningSet, "elements", property(spy))
+    for p, e, f, k in ENUMERATE_TOWERS:
+        argv = ["code", "--p", str(p), "--e", str(e), "--f", str(f),
+                "--k", str(k)]
+        for extra in (["--a", "0"], ["--a", "1"], ["--a", "0", "--punctured"]):
+            assert cli.main(argv + extra) == 0
+    assert cli.main(["search", "--budget", "4096"]) == 0
+    capsys.readouterr()
+    assert read == []
+    # the spy sees a read
+    build_defining_set(TowerSpec(2, 1, 2, 4), 1).elements
+    assert len(read) == 1
+
+
+def test_distribution_allocates_no_exponent_array():
+    # (2,1,10,20) a = 1 has |D| = 524800 in F_{2^20}: with the sequence and
+    # the trace-zero indicator cached, the set and its distribution stay
+    # at the size of F_{2^10} and the period g = 1023
+    tower = TowerSpec(2, 1, 10, 20)
+    field_module.trace_sequence(2, 20)
+    field_module.trace_zero_indicator(2, 20, 1)
+    tracemalloc.start()
+    try:
+        dist = brute_weight_distribution(build_defining_set(tower, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.params() == (524800, 20, 262144)
+    assert peak < 8 << 20, peak
 
 
 def _table_route(tower, a_index):
